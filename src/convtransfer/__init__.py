@@ -26,7 +26,6 @@ from .model import (
     ModelParams,
     Representation,
     classify,
-    embed_attributes,
     init_params,
     load_params,
     predict,
@@ -34,21 +33,16 @@ from .model import (
     save_params,
 )
 from .gradcheck import (
-    finite_diff_gradient,
     gradient_check,
     random_smooth_instance,
     relative_error,
 )
-from .numeric import Rng, frob_sq, matmul, rand_uniform
+from .numeric import Rng
 from .objective import (
     DivergenceError,
-    GradientSet,
     ObjectiveBreakdown,
     TrainConfig,
     TrajectoryRow,
-    attribute_loss,
-    classification_loss,
-    domain_matching_loss,
     evaluate,
     gradient,
     neighbor_loss,

@@ -11,15 +11,15 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from . import dataset as dsmod
 from . import gradcheck as gcmod
 from .dataset import DataError, SynthSpec, build_neighbor_graph, generate_synthetic, load_dataset, save_dataset, split_target
 from .model import load_params, save_params
-from .objective import DivergenceError, TrainConfig, evaluate, train, write_trajectory_csv
+from .objective import DivergenceError, TrainConfig, _check_compat, evaluate, train, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,34 +53,21 @@ def _nonneg_float(v):
     return x
 
 
-def _mode(v):
-    if v not in ("joint", "block-cyclic"):
-        raise ValueError(f"must be 'joint' or 'block-cyclic', got {v}")
-    return v
-
-
 # key -> (parser, default); default REQUIRED means the merged config must set it
 REQUIRED = object()
 
+# seed is validated here for every command; workers is accepted and ignored
 COMMON_KEYS = {
     "seed": (_nonneg_int, 0),
     "workers": (_positive_int, 1),
 }
 
-TRAIN_KEYS = {
-    "c1": (_nonneg_float, 1.0),
-    "c2": (_nonneg_float, 1.0),
-    "c3": (_nonneg_float, 1.0),
-    "tau": (_nonneg_float, 1e-3),
-    "max_iters": (_positive_int, 200),
-    "update_mode": (_mode, "joint"),
-    "knn_k": (_nonneg_int, 5),
-    "m0": (_positive_int, 4),
-    "mt": (_positive_int, 4),
-    "ma": (_positive_int, 4),
-    "w": (_positive_int, 2),
-    "init_range": (float, 0.1),
-}
+# One key per TrainConfig field, parsed by the type of its default and
+# validated by TrainConfig itself. The CLI's one override: 200 iterations
+# by default where the library runs 100.
+TRAIN_KEYS = {f.name: (type(f.default), f.default) for f in dataclasses.fields(TrainConfig)
+              if f.name not in COMMON_KEYS}
+TRAIN_KEYS["max_iters"] = (int, 200)
 
 SYNTH_SPEC_KEYS = {
     "domains": (_positive_int, 3),
@@ -183,11 +170,19 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(c1=cfg["c1"], c2=cfg["c2"], c3=cfg["c3"], tau=cfg["tau"],
-                       max_iters=cfg["max_iters"], update_mode=cfg["update_mode"],
-                       knn_k=cfg["knn_k"], m0=cfg["m0"], mt=cfg["mt"], ma=cfg["ma"],
-                       w=cfg["w"], init_range=cfg["init_range"],
-                       seed=cfg["seed"], workers=cfg["workers"])
+    try:
+        return TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in TRAIN_KEYS})
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _load_split(cfg: dict):
+    """The dataset at cfg["data"]. An untagged target domain is split by the
+    seed; a tagged one keeps the file's own roles."""
+    ds = load_dataset(cfg["data"])
+    if all(p.role is None for p in ds.target):
+        split_target(ds, cfg["seed"])
+    return ds
 
 
 def _report(params, ds) -> dict:
@@ -202,10 +197,9 @@ def _report(params, ds) -> dict:
 
 
 def cmd_train(cfg: dict) -> int:
-    ds = load_dataset(cfg["data"])
-    split_target(ds, cfg["seed"])
-    graph = build_neighbor_graph(ds.target_train_points(), cfg["knn_k"])
     tc = _train_config(cfg)
+    ds = _load_split(cfg)
+    graph = build_neighbor_graph(ds.target_train_points(), tc.knn_k)
     params, rows = train(ds, graph, tc)
     save_params(params, cfg["model_out"])
     write_trajectory_csv(rows, cfg["curve_out"])
@@ -228,16 +222,8 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     params = load_params(cfg["model"])
-    ds = load_dataset(cfg["data"])
-    if params.n_domains != ds.n_domains or \
-            (params.dims.d, params.dims.a_dim, params.dims.y_dim) != (ds.d, ds.a_dim, ds.y_dim):
-        raise DataError(
-            f"model dims (T={params.n_domains}, d={params.dims.d}, A={params.dims.a_dim}, "
-            f"Y={params.dims.y_dim}) do not match dataset "
-            f"(T={ds.n_domains}, d={ds.d}, A={ds.a_dim}, Y={ds.y_dim})"
-        )
-    if all(p.role is None for p in ds.target):
-        split_target(ds, cfg["seed"])  # reproduce the training split from the seed
+    ds = _load_split(cfg)
+    _check_compat(params, ds)
     report = _report(params, ds)
     if cfg["report_out"]:
         with open(cfg["report_out"], "w") as f:
@@ -284,7 +270,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (synth: dataset; train/eval: report)")
         p.add_argument("--data", help="dataset file path")
         p.add_argument("--model", help="model file path (train: output; eval: input)")
-        p.add_argument("--workers", type=int, help="worker threads for per-point computation")
+        p.add_argument("--workers", type=int,
+                       help="accepted (N >= 1) and ignored: every command runs in one thread")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any configuration key (repeatable)")
     return parser

@@ -73,13 +73,21 @@ class MultiDomainDataset:
         return [p for p in self.target if p.role == role]
 
     def target_train_points(self) -> list[DataPoint]:
-        """Training half of the target domain (labeled + unlabeled), in order.
+        """Target points the trainer sees (see training_view), in order."""
+        return training_view(self).target
 
-        If no roles were assigned, all target points count as training points.
-        """
-        if all(p.role is None for p in self.target):
-            return list(self.target)
-        return [p for p in self.target if p.role in (ROLE_LABELED, ROLE_UNLABELED)]
+
+def training_view(ds: MultiDomainDataset) -> MultiDomainDataset:
+    """The dataset as the trainer may see it: target test points dropped and
+    the labels of train-unlabeled points hidden. Returns ds itself when
+    there is nothing to drop or hide, as for an untagged target."""
+    if not any(p.role == ROLE_TEST or (p.role == ROLE_UNLABELED and p.y is not None)
+               for p in ds.target):
+        return ds
+    target = [DataPoint(x=p.x, a=p.a, y=None if p.role == ROLE_UNLABELED else p.y, role=p.role)
+              for p in ds.target if p.role != ROLE_TEST]
+    return MultiDomainDataset(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim,
+                              domains=list(ds.domains[:-1]) + [target])
 
 
 def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str) -> None:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convnet import conv_forward
 from .dataset import DataPoint, MultiDomainDataset, build_neighbor_graph
-from .model import Dims, ModelParams, init_params
+from .model import Dims, ModelParams, init_params, represent
 from .numeric import Rng
-from .objective import GradientSet, TrainConfig, gradient, objective, parameter_blocks
+from .objective import TrainConfig, gradient, objective
 
 KINK_MARGIN = 1e-3
 DEFAULT_EPS = 1e-5
@@ -27,8 +26,7 @@ def is_smooth(params: ModelParams, ds: MultiDomainDataset, margin: float = KINK_
     kink or of an argmax tie, for any point and any branch."""
     for t, dom in enumerate(ds.domains):
         for p in dom:
-            for block in (params.f_0, params.f_dom[t], params.f_a):
-                _, trace = conv_forward(block, p.x)
+            for trace in represent(params, p.x, t)[1]:
                 for row in trace.pre:
                     top = np.max(row)
                     if abs(top) <= margin:
@@ -110,21 +108,9 @@ def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS,
     """
     gs = gradient(params, ds, graph, cfg)
     errs: dict[str, float] = {}
-    for name, pairs in parameter_blocks(params, gs):
-        worst = 0.0
-        for arr, grad in pairs:
-            analytic = -grad if name == corrupt_block else grad
-            fd = finite_diff_block(params, ds, graph, cfg, arr, eps)
-            worst = max(worst, float(np.max(relative_error(analytic, fd))) if arr.size else 0.0)
-        errs[name] = worst
+    for (block, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
+        analytic = -grad if block == corrupt_block else grad
+        fd = finite_diff_block(params, ds, graph, cfg, arr, eps)
+        err = float(np.max(relative_error(analytic, fd))) if arr.size else 0.0
+        errs[block] = max(errs.get(block, 0.0), err)
     return errs
-
-
-def finite_diff_gradient(params, ds, graph, cfg, eps: float = DEFAULT_EPS) -> GradientSet:
-    """Full finite-difference gradient, shaped like GradientSet."""
-    fd = GradientSet.zeros(params)
-    for (_, pairs_p), (_, pairs_f) in zip(parameter_blocks(params, GradientSet.zeros(params)),
-                                          parameter_blocks(params, fd)):
-        for (arr, _), (_, slot) in zip(pairs_p, pairs_f):
-            slot[...] = finite_diff_block(params, ds, graph, cfg, arr, eps)
-    return fd

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convnet import ConvBlock, conv_forward
+from .dataset import DataError
 from .numeric import Rng
 
 FORMAT_VERSION = 1
@@ -99,6 +100,23 @@ class ModelParams:
     def n_domains(self) -> int:
         return self.dims.n_domains
 
+    def named_tensors(self) -> list[tuple[str, str, np.ndarray]]:
+        """Every learnable tensor as (block, key, array), in block-cyclic order.
+
+        Blocks are f_0, f_1..f_T (the domain encoders, numbered from 1; f_T
+        is the target's), f_a, theta, u_0, u_1..u_T, u_a. Keys are the model
+        file's. The arrays are the parameters themselves, not copies.
+        """
+        out = [("f_0", "f_0.filters", self.f_0.filters), ("f_0", "f_0.bias", self.f_0.bias)]
+        for t, b in enumerate(self.f_dom):
+            out += [(f"f_{t + 1}", f"f_dom.{t}.filters", b.filters),
+                    (f"f_{t + 1}", f"f_dom.{t}.bias", b.bias)]
+        out += [("f_a", "f_a.filters", self.f_a.filters), ("f_a", "f_a.bias", self.f_a.bias),
+                ("theta", "theta", self.theta), ("u_0", "u0", self.u0)]
+        out += [(f"u_{t + 1}", f"u_dom.{t}", u) for t, u in enumerate(self.u_dom)]
+        out.append(("u_a", "ua", self.ua))
+        return out
+
 
 @dataclass
 class Representation:
@@ -111,18 +129,6 @@ class Representation:
 
     def concat(self) -> np.ndarray:
         return np.concatenate([self.r0, self.rt, self.ra])
-
-
-def embed_attributes(theta: np.ndarray, a) -> np.ndarray:
-    """theta.T @ a: the sum of the rows of theta selected by a's ones."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (theta.shape[0],):
-        raise ValueError(
-            f"attribute vector has shape {a.shape}, expected ({theta.shape[0]},)"
-        )
-    if not np.all((a == 0.0) | (a == 1.0)):
-        raise ValueError("attribute vector entries must be 0 or 1")
-    return theta.T @ a
 
 
 def represent(params: ModelParams, x, t: int):
@@ -159,37 +165,38 @@ def predict(scores) -> int:
     return int(np.argmax(scores))
 
 
-def init_params(dims: Dims, rng: Rng, scale: float = 0.1) -> ModelParams:
-    """All parameters i.i.d. uniform in [-scale, scale]; deterministic per seed.
-
-    Draw order is fixed (f_a, f_0, per-domain blocks, theta, u0, ua, heads)
-    so a seed pins the full parameter set bit-exactly.
-    """
-    if scale <= 0:
-        raise ValueError(f"init scale must be positive, got {scale}")
+def _new_params(dims: Dims, draw) -> ModelParams:
+    """Parameters of the given dims, each tensor drawn as draw(shape) in the
+    fixed order f_a, f_0, per-domain blocks, theta, u0, ua, heads."""
 
     def block(m):
-        filters = rng.uniform(-scale, scale, (m, dims.d, dims.w))
-        bias = rng.uniform(-scale, scale, (m,))
-        return ConvBlock(filters=filters, bias=bias)
+        return ConvBlock(filters=draw((m, dims.d, dims.w)), bias=draw((m,)))
 
     f_a = block(dims.ma)
     f_0 = block(dims.m0)
     f_dom = [block(m) for m in dims.mt]
-    theta = rng.uniform(-scale, scale, (dims.a_dim, dims.ma))
-    u0 = rng.uniform(-scale, scale, (dims.m0, dims.y_dim))
-    ua = rng.uniform(-scale, scale, (dims.ma, dims.y_dim))
-    u_dom = [rng.uniform(-scale, scale, (m, dims.y_dim)) for m in dims.mt]
+    theta = draw((dims.a_dim, dims.ma))
+    u0 = draw((dims.m0, dims.y_dim))
+    ua = draw((dims.ma, dims.y_dim))
+    u_dom = [draw((m, dims.y_dim)) for m in dims.mt]
     return ModelParams(dims=dims, f_a=f_a, f_0=f_0, f_dom=f_dom,
                        theta=theta, u0=u0, ua=ua, u_dom=u_dom)
 
 
-def _arr_entry(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+def zero_params(dims: Dims) -> ModelParams:
+    """All parameters zero; also the accumulator a gradient starts from."""
+    return _new_params(dims, np.zeros)
 
 
-def _arr_load(entry: dict) -> np.ndarray:
-    return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+def init_params(dims: Dims, rng: Rng, scale: float = 0.1) -> ModelParams:
+    """All parameters i.i.d. uniform in [-scale, scale]; deterministic per seed.
+
+    The draw order is fixed (see _new_params), so a seed pins the full
+    parameter set bit-exactly.
+    """
+    if scale <= 0:
+        raise ValueError(f"init scale must be positive, got {scale}")
+    return _new_params(dims, lambda shape: rng.uniform(-scale, scale, shape))
 
 
 def save_params(params: ModelParams, path: str) -> None:
@@ -199,45 +206,33 @@ def save_params(params: ModelParams, path: str) -> None:
         "format_version": FORMAT_VERSION,
         "dims": {"d": d.d, "a_dim": d.a_dim, "y_dim": d.y_dim,
                  "m0": d.m0, "ma": d.ma, "mt": list(d.mt), "w": d.w},
-        "params": {
-            "f_a.filters": _arr_entry(params.f_a.filters),
-            "f_a.bias": _arr_entry(params.f_a.bias),
-            "f_0.filters": _arr_entry(params.f_0.filters),
-            "f_0.bias": _arr_entry(params.f_0.bias),
-            "theta": _arr_entry(params.theta),
-            "u0": _arr_entry(params.u0),
-            "ua": _arr_entry(params.ua),
-        },
+        "params": {key: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                   for _, key, arr in params.named_tensors()},
     }
-    for t in range(d.n_domains):
-        doc["params"][f"f_dom.{t}.filters"] = _arr_entry(params.f_dom[t].filters)
-        doc["params"][f"f_dom.{t}.bias"] = _arr_entry(params.f_dom[t].bias)
-        doc["params"][f"u_dom.{t}"] = _arr_entry(params.u_dom[t])
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
 
 
 def load_params(path: str) -> ModelParams:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')}")
-    dd = doc["dims"]
-    dims = Dims(d=dd["d"], a_dim=dd["a_dim"], y_dim=dd["y_dim"],
-                m0=dd["m0"], ma=dd["ma"], mt=tuple(dd["mt"]), w=dd["w"])
-    p = doc["params"]
-    f_dom = [ConvBlock(filters=_arr_load(p[f"f_dom.{t}.filters"]),
-                       bias=_arr_load(p[f"f_dom.{t}.bias"]))
-             for t in range(dims.n_domains)]
-    u_dom = [_arr_load(p[f"u_dom.{t}"]) for t in range(dims.n_domains)]
-    return ModelParams(
-        dims=dims,
-        f_a=ConvBlock(filters=_arr_load(p["f_a.filters"]), bias=_arr_load(p["f_a.bias"])),
-        f_0=ConvBlock(filters=_arr_load(p["f_0.filters"]), bias=_arr_load(p["f_0.bias"])),
-        f_dom=f_dom,
-        theta=_arr_load(p["theta"]),
-        u0=_arr_load(p["u0"]),
-        ua=_arr_load(p["ua"]),
-        u_dom=u_dom,
-    )
+    """Read a save_params document; a wrong version, a missing key or a
+    tensor of the wrong shape raises DataError."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {doc.get('format_version')}")
+        dd = doc["dims"]
+        params = zero_params(Dims(d=dd["d"], a_dim=dd["a_dim"], y_dim=dd["y_dim"],
+                                  m0=dd["m0"], ma=dd["ma"], mt=tuple(dd["mt"]), w=dd["w"]))
+        for _, key, arr in params.named_tensors():
+            entry = doc["params"][key]
+            value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            if value.shape != arr.shape:
+                raise ValueError(f"{key} has shape {value.shape}, expected {arr.shape}")
+            arr[...] = value
+    except KeyError as e:
+        raise DataError(f"{path}: missing model entry {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: {e}") from e
+    return params

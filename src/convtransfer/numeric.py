@@ -1,7 +1,7 @@
 """Dense float64 matrix helpers and the seeded random stream.
 
-All arithmetic is delegated to numpy. These wrappers pin down the error
-contracts (shape checks, finiteness) and the single reproducible RNG used
+All arithmetic is delegated to numpy. This module pins down the matrix
+input check (shape, finiteness) and the single reproducible RNG used
 everywhere else, so that datasets, initializations and training runs are
 bit-identical given a seed.
 """
@@ -51,27 +51,3 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matmul produced non-finite entries (overflow)")
-    return out
-
-
-def frob_sq(a) -> float:
-    """Sum of squared entries (squared Frobenius norm); works on any array."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sum(a * a))
-
-
-def rand_uniform(rng: Rng, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
-    if rows < 1 or cols < 1:
-        raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
-    return rng.uniform(lo, hi, (rows, cols))

@@ -10,21 +10,24 @@ The training objective has five terms:
   5. neighbor smoothness of the concatenated target representation over a
      fixed 0/1 adjacency, weighted by c3.
 
+The objective sees every point of the dataset it is given, labels
+included, so callers pass dataset.training_view(ds); a target that still
+holds test points or labeled train-unlabeled points is rejected.
+
 Sub-gradients are exact (ReLU sub-gradient 0 at 0, pooling ties to the
 lowest index) and accumulated in (domain, point) order so runs reproduce
-bit-for-bit regardless of worker count.
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ROLE_LABELED, ROLE_TEST, MultiDomainDataset, DataPoint, NeighborGraph
-from .model import Dims, ModelParams, classify, init_params, predict, represent
+from .dataset import ROLE_TEST, DataError, DataPoint, MultiDomainDataset, NeighborGraph, training_view
+from .model import Dims, ModelParams, classify, init_params, predict, represent, zero_params
 from .numeric import Rng
 
 
@@ -51,21 +54,18 @@ class TrainConfig:
     w: int = 2
     init_range: float = 0.1
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c3) < 0:
-            raise ValueError("tradeoff weights c1, c2, c3 must be nonnegative")
-        if self.tau < 0:
-            raise ValueError(f"descent step tau must be nonnegative, got {self.tau}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("c1", "c2", "c3", "tau", "knn_k"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("max_iters", "m0", "mt", "ma", "w"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.init_range <= 0:
+            raise ValueError(f"init_range must be positive, got {self.init_range}")
         if self.update_mode not in ("joint", "block-cyclic"):
-            raise ValueError(f"unknown update_mode {self.update_mode!r}")
-        if self.knn_k < 0:
-            raise ValueError("knn_k must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"update_mode must be 'joint' or 'block-cyclic', got {self.update_mode!r}")
 
 
 @dataclass
@@ -80,97 +80,25 @@ class ObjectiveBreakdown:
     total: float
 
 
-@dataclass
-class GradientSet:
-    """One tensor per learnable parameter, shape-matched to ModelParams."""
-
-    fa_filters: np.ndarray
-    fa_bias: np.ndarray
-    f0_filters: np.ndarray
-    f0_bias: np.ndarray
-    fdom_filters: list[np.ndarray]
-    fdom_bias: list[np.ndarray]
-    theta: np.ndarray
-    u0: np.ndarray
-    ua: np.ndarray
-    u_dom: list[np.ndarray]
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "GradientSet":
-        return cls(
-            fa_filters=np.zeros_like(params.f_a.filters),
-            fa_bias=np.zeros_like(params.f_a.bias),
-            f0_filters=np.zeros_like(params.f_0.filters),
-            f0_bias=np.zeros_like(params.f_0.bias),
-            fdom_filters=[np.zeros_like(b.filters) for b in params.f_dom],
-            fdom_bias=[np.zeros_like(b.bias) for b in params.f_dom],
-            theta=np.zeros_like(params.theta),
-            u0=np.zeros_like(params.u0),
-            ua=np.zeros_like(params.ua),
-            u_dom=[np.zeros_like(u) for u in params.u_dom],
-        )
-
-
-def parameter_blocks(params: ModelParams, grads: GradientSet | None = None):
-    """Named parameter blocks in the block-cyclic update order.
-
-    Yields (name, [(param_array, grad_array_or_None), ...]). Domain blocks
-    are numbered from 1; the highest number is the target domain.
-    """
-    g = grads
-    T = params.n_domains
-
-    def pair(p, ga):
-        return (p, ga if g is not None else None)
-
-    blocks = [("f_0", [pair(params.f_0.filters, g.f0_filters if g else None),
-                       pair(params.f_0.bias, g.f0_bias if g else None)])]
-    for t in range(T):
-        blocks.append((f"f_{t + 1}", [pair(params.f_dom[t].filters, g.fdom_filters[t] if g else None),
-                                      pair(params.f_dom[t].bias, g.fdom_bias[t] if g else None)]))
-    blocks.append(("f_a", [pair(params.f_a.filters, g.fa_filters if g else None),
-                           pair(params.f_a.bias, g.fa_bias if g else None)]))
-    blocks.append(("theta", [pair(params.theta, g.theta if g else None)]))
-    blocks.append(("u_0", [pair(params.u0, g.u0 if g else None)]))
-    for t in range(T):
-        blocks.append((f"u_{t + 1}", [pair(params.u_dom[t], g.u_dom[t] if g else None)]))
-    blocks.append(("u_a", [pair(params.ua, g.ua if g else None)]))
-    return blocks
-
-
-def _visible_label(p: DataPoint, is_target: bool):
-    """Label the trainer is allowed to see; hidden for unlabeled/test targets."""
-    if not is_target:
-        return p.y
-    if p.role in (None, ROLE_LABELED):
-        return p.y
-    return None
-
-
 def _check_compat(params: ModelParams, ds: MultiDomainDataset) -> None:
-    if params.n_domains != ds.n_domains:
-        raise ValueError(
-            f"model covers {params.n_domains} domains but dataset has {ds.n_domains}"
-        )
-    if (params.dims.d, params.dims.a_dim, params.dims.y_dim) != (ds.d, ds.a_dim, ds.y_dim):
-        raise ValueError(
-            f"model dims (d={params.dims.d}, A={params.dims.a_dim}, Y={params.dims.y_dim}) "
-            f"do not match dataset (d={ds.d}, A={ds.a_dim}, Y={ds.y_dim})"
-        )
+    model = (params.n_domains, params.dims.d, params.dims.a_dim, params.dims.y_dim)
+    data = (ds.n_domains, ds.d, ds.a_dim, ds.y_dim)
+    if model != data:
+        raise DataError("model dims (T={}, d={}, A={}, Y={}) do not match dataset "
+                        "(T={}, d={}, A={}, Y={})".format(*model, *data))
 
 
-def _forward_all(params: ModelParams, ds: MultiDomainDataset, workers: int = 1):
-    """Represent every point; returns reps[t][i] = (Representation, traces)."""
+def _forward_all(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | None):
+    """Check the inputs, then represent every point: reps[t][i] = (Representation, traces)."""
     _check_compat(params, ds)
-    out = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for t, dom in enumerate(ds.domains):
-                out.append(list(ex.map(lambda p, tt=t: represent(params, p.x, tt), dom)))
-    else:
-        for t, dom in enumerate(ds.domains):
-            out.append([represent(params, p.x, t) for p in dom])
-    return out
+    if training_view(ds) is not ds:
+        raise ValueError("the target domain holds test points or labeled train-unlabeled "
+                         "points, which the trainer must not see; pass training_view(ds)")
+    if graph is not None and graph.n != len(ds.target):
+        raise ValueError(
+            f"neighbor graph covers {graph.n} points but the target domain has {len(ds.target)}"
+        )
+    return [[represent(params, p.x, t) for p in dom] for t, dom in enumerate(ds.domains)]
 
 
 def _cls_values(params, ds, reps):
@@ -178,14 +106,12 @@ def _cls_values(params, ds, reps):
     tgt = 0.0
     T = ds.n_domains
     for t, dom in enumerate(ds.domains):
-        is_target = t == T - 1
         for i, p in enumerate(dom):
-            y = _visible_label(p, is_target)
-            if y is None:
+            if p.y is None:
                 continue
-            e = classify(params, reps[t][i][0]) - y
+            e = classify(params, reps[t][i][0]) - p.y
             v = float(e @ e)
-            if is_target:
+            if t == T - 1:
                 tgt += v
             else:
                 aux += v
@@ -220,22 +146,10 @@ def _dom_value(ds, reps):
     return s
 
 
-def _target_train_indices(ds: MultiDomainDataset) -> list[int]:
-    if all(p.role is None for p in ds.target):
-        return list(range(len(ds.target)))
-    return [i for i, p in enumerate(ds.target) if p.role != ROLE_TEST]
-
-
 def _nb_value(ds, reps, graph: NeighborGraph | None):
     if graph is None:
         return 0.0
-    idx = _target_train_indices(ds)
-    if graph.n != len(idx):
-        raise ValueError(
-            f"neighbor graph covers {graph.n} points but the target training set has {len(idx)}"
-        )
-    T = ds.n_domains
-    fvecs = [reps[T - 1][i][0].concat() for i in idx]
+    fvecs = [rep.concat() for rep, _ in reps[-1]]
     s = 0.0
     for a, adj in enumerate(graph.neighbors):
         for b in adj:  # adjacency is symmetric: this covers both orders
@@ -244,35 +158,19 @@ def _nb_value(ds, reps, graph: NeighborGraph | None):
     return s
 
 
-def classification_loss(params: ModelParams, ds: MultiDomainDataset) -> float:
-    """Sum of squared score errors over auxiliary points and labeled target points."""
-    reps = _forward_all(params, ds)
-    aux, tgt = _cls_values(params, ds, reps)
-    return aux + tgt
-
-
-def attribute_loss(params: ModelParams, ds: MultiDomainDataset) -> float:
-    """Sum over every point of ||f_a(X) - theta.T a||^2."""
-    return _attr_value(params, ds, _forward_all(params, ds))
-
-
-def domain_matching_loss(params: ModelParams, ds: MultiDomainDataset) -> float:
-    """Sum over unordered domain pairs of squared distance between mean
-    shared-branch representations."""
-    return _dom_value(ds, _forward_all(params, ds))
-
-
 def neighbor_loss(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph) -> float:
     """Sum over ordered neighbor pairs of squared distance between the
     concatenated target representations."""
-    return _nb_value(ds, _forward_all(params, ds), graph)
+    return _nb_value(ds, _forward_all(params, ds, graph), graph)
 
 
 def objective(params: ModelParams, ds: MultiDomainDataset,
-              graph: NeighborGraph | None, cfg: TrainConfig,
-              workers: int = 1) -> ObjectiveBreakdown:
-    """All five terms (unweighted) plus the weighted total, in one forward pass."""
-    reps = _forward_all(params, ds, workers)
+              graph: NeighborGraph | None, cfg: TrainConfig) -> ObjectiveBreakdown:
+    """All five terms (unweighted) plus the weighted total, in one forward pass.
+
+    Every labeled point counts; `graph` has one node per target point.
+    """
+    reps = _forward_all(params, ds, graph)
     aux, tgt = _cls_values(params, ds, reps)
     attr = _attr_value(params, ds, reps)
     dom = _dom_value(ds, reps) if ds.n_domains > 1 else 0.0
@@ -283,18 +181,14 @@ def objective(params: ModelParams, ds: MultiDomainDataset,
 
 
 def gradient(params: ModelParams, ds: MultiDomainDataset,
-             graph: NeighborGraph | None, cfg: TrainConfig,
-             workers: int = 1) -> GradientSet:
-    """Exact sub-gradient of the weighted total w.r.t. every parameter.
-
-    Accumulation runs in (domain index, point index) order; worker threads
-    only parallelize the forward passes, so results are bit-identical for
-    any worker count.
-    """
+             graph: NeighborGraph | None, cfg: TrainConfig) -> ModelParams:
+    """Exact sub-gradient of the weighted total w.r.t. every parameter, as a
+    ModelParams of the same dims. Accumulation runs in (domain index, point
+    index) order."""
     from .convnet import conv_backward
 
-    reps = _forward_all(params, ds, workers)
-    gs = GradientSet.zeros(params)
+    reps = _forward_all(params, ds, graph)
+    gs = zero_params(params.dims)
     T = ds.n_domains
 
     # upstream gradients on each point's three branch outputs
@@ -305,13 +199,11 @@ def gradient(params: ModelParams, ds: MultiDomainDataset,
 
     # classification terms
     for t, dom in enumerate(ds.domains):
-        is_target = t == T - 1
         for i, p in enumerate(dom):
-            y = _visible_label(p, is_target)
-            if y is None:
+            if p.y is None:
                 continue
             rep = reps[t][i][0]
-            gsc = 2.0 * (classify(params, rep) - y)
+            gsc = 2.0 * (classify(params, rep) - p.y)
             gs.u0 += np.outer(rep.r0, gsc)
             gs.u_dom[t] += np.outer(rep.rt, gsc)
             gs.ua += np.outer(rep.ra, gsc)
@@ -339,18 +231,13 @@ def gradient(params: ModelParams, ds: MultiDomainDataset,
 
     # neighbor smoothness term (weight c3), target branch only
     if cfg.c3 != 0.0 and graph is not None:
-        idx = _target_train_indices(ds)
-        if graph.n != len(idx):
-            raise ValueError(
-                f"neighbor graph covers {graph.n} points but the target training set has {len(idx)}"
-            )
-        fvecs = [reps[T - 1][i][0].concat() for i in idx]
+        fvecs = [rep.concat() for rep, _ in reps[T - 1]]
         m0, mt = params.dims.m0, params.dims.mt[T - 1]
         for a, adj in enumerate(graph.neighbors):
             if not adj:
                 continue
             df = 4.0 * cfg.c3 * sum((fvecs[a] - fvecs[b]) for b in adj)
-            up = ups[T - 1][idx[a]]
+            up = ups[T - 1][a]
             up["r0"] += df[:m0]
             up["rt"] += df[m0:m0 + mt]
             up["ra"] += df[m0 + mt:]
@@ -360,48 +247,28 @@ def gradient(params: ModelParams, ds: MultiDomainDataset,
         for i in range(len(dom)):
             _, (tr0, trt, tra) = reps[t][i]
             up = ups[t][i]
-            if np.any(up["r0"]):
-                df, db, _ = conv_backward(params.f_0, tr0, up["r0"])
-                gs.f0_filters += df
-                gs.f0_bias += db
-            if np.any(up["rt"]):
-                df, db, _ = conv_backward(params.f_dom[t], trt, up["rt"])
-                gs.fdom_filters[t] += df
-                gs.fdom_bias[t] += db
-            if np.any(up["ra"]):
-                df, db, _ = conv_backward(params.f_a, tra, up["ra"])
-                gs.fa_filters += df
-                gs.fa_bias += db
+            for block, grad, trace, upstream in ((params.f_0, gs.f_0, tr0, up["r0"]),
+                                                 (params.f_dom[t], gs.f_dom[t], trt, up["rt"]),
+                                                 (params.f_a, gs.f_a, tra, up["ra"])):
+                if np.any(upstream):
+                    df, db, _ = conv_backward(block, trace, upstream)
+                    grad.filters += df
+                    grad.bias += db
     return gs
 
 
 def evaluate(params: ModelParams, points: list[DataPoint], t: int) -> float:
     """Fraction of points whose predicted class matches the label's argmax."""
     if not points:
-        raise ValueError("cannot evaluate on an empty point collection")
+        raise DataError("cannot evaluate on an empty point collection")
     correct = 0
     for p in points:
         if p.y is None:
-            raise ValueError("evaluation requires labeled points")
+            raise DataError("evaluation requires labeled points")
         rep, _ = represent(params, p.x, t)
         if predict(classify(params, rep)) == int(np.argmax(p.y)):
             correct += 1
     return correct / len(points)
-
-
-def training_view(ds: MultiDomainDataset) -> MultiDomainDataset:
-    """Trainer-visible dataset: drop target test points, hide labels of
-    train-unlabeled points. Identity when no roles were assigned."""
-    if all(p.role is None for p in ds.target):
-        return ds
-    target = []
-    for p in ds.target:
-        if p.role == ROLE_TEST:
-            continue
-        y = p.y if p.role == ROLE_LABELED else None
-        target.append(DataPoint(x=p.x, a=p.a, y=y, role=p.role))
-    return MultiDomainDataset(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim,
-                              domains=list(ds.domains[:-1]) + [target])
 
 
 @dataclass
@@ -427,9 +294,9 @@ def write_trajectory_csv(rows: list[TrajectoryRow], path: str) -> None:
 
 def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
           cfg: TrainConfig) -> tuple[ModelParams, list[TrajectoryRow]]:
-    """Run the fixed-step sub-gradient loop.
+    """Run the fixed-step sub-gradient loop on training_view(ds).
 
-    `joint` mode takes one full-gradient step per iteration; `block-cyclic`
+    `graph` has one node per point of ds.target_train_points(). `joint` mode takes one full-gradient step per iteration; `block-cyclic`
     sweeps the parameter blocks in their fixed order, recomputing the
     gradient before each block step. The trajectory records the breakdown
     after every iteration (row 0 is the initial state) and stops early once
@@ -437,38 +304,34 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     """
     T = ds.n_domains
     view = training_view(ds)
-    n_labeled = sum(1 for p in view.target
-                    if _visible_label(p, True) is not None)
-    if n_labeled < 1:
-        raise ValueError("training requires at least one labeled target point")
+    if not any(p.y is not None for p in view.target):
+        raise DataError("training requires at least one labeled target point")
 
     dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim,
                 m0=cfg.m0, ma=cfg.ma, mt=(cfg.mt,) * T, w=cfg.w)
     params = init_params(dims, Rng(cfg.seed), cfg.init_range)
     test_points = [p for p in ds.target if p.role == ROLE_TEST]
+    # joint mode steps every block at once; block-cyclic steps one block per
+    # gradient, in named_tensors() order
+    sweep = [None] if cfg.update_mode == "joint" else \
+        list(dict.fromkeys(block for block, _, _ in params.named_tensors()))
 
     def test_acc():
         return evaluate(params, test_points, T - 1) if test_points else math.nan
 
-    bd = objective(params, view, graph, cfg, cfg.workers)
+    bd = objective(params, view, graph, cfg)
     if not math.isfinite(bd.total):
         raise DivergenceError(0)
     rows = [TrajectoryRow(0, bd, test_acc())]
     prev_total = bd.total
 
     for it in range(1, cfg.max_iters + 1):
-        if cfg.update_mode == "joint":
-            gs = gradient(params, view, graph, cfg, cfg.workers)
-            for _, pairs in parameter_blocks(params, gs):
-                for arr, grad in pairs:
+        for step_block in sweep:
+            gs = gradient(params, view, graph, cfg)
+            for (block, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
+                if step_block in (None, block):
                     arr -= cfg.tau * grad
-        else:
-            n_blocks = len(parameter_blocks(params))
-            for bi in range(n_blocks):
-                gs = gradient(params, view, graph, cfg, cfg.workers)
-                for arr, grad in parameter_blocks(params, gs)[bi][1]:
-                    arr -= cfg.tau * grad
-        bd = objective(params, view, graph, cfg, cfg.workers)
+        bd = objective(params, view, graph, cfg)
         if not math.isfinite(bd.total):
             raise DivergenceError(it)
         rows.append(TrajectoryRow(it, bd, test_acc()))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from convtransfer import cli
 from convtransfer.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -12,7 +13,17 @@ from convtransfer.cli import (
     EXIT_OK,
     main,
 )
-from convtransfer.dataset import load_dataset
+from convtransfer.dataset import (
+    ROLE_TEST,
+    ROLE_UNLABELED,
+    build_neighbor_graph,
+    load_dataset,
+    save_dataset,
+    split_target,
+    training_view,
+)
+from convtransfer.model import Dims, init_params, save_params
+from convtransfer.numeric import Rng
 
 SMALL_SYNTH = ["--set", "domains=2", "--set", "points_per_domain=8",
                "--set", "feature_dim=4", "--set", "attr_dim=5",
@@ -144,6 +155,57 @@ class TestTrain:
                        "--set", "tau=1e3", "--set", "max_iters=50", "--set", "knn_k=1"])
         assert rc == EXIT_DIVERGED
 
+    def test_invalid_train_value_is_config_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv",
+                             ["--set", "init_range=-1"]))
+        assert rc == EXIT_CONFIG
+        assert "init_range" in capsys.readouterr().err
+
+    def test_tagged_file_keeps_its_split(self, tmp_path, monkeypatch):
+        path = tmp_path / "split.json"
+        assert main(["synth", "--seed", "0", "--out", str(path),
+                     "--set", "points_per_domain=20"]) == EXIT_OK
+        ds = load_dataset(str(path))
+        split_target(ds, 123)
+        save_dataset(ds, str(path))
+        tags = [p.role for p in ds.target]
+
+        seen = {}
+        real_train = cli.train
+
+        def spy(data, graph, cfg):
+            seen.update(data=data, graph=graph)
+            return real_train(data, graph, cfg)
+
+        monkeypatch.setattr(cli, "train", spy)
+        report = tmp_path / "train.json"
+        rc = main(["train", "--data", str(path), "--model", str(tmp_path / "m.json"),
+                   "--seed", "0", "--out", str(report), "--set", f"curve_out={tmp_path / 'c.csv'}",
+                   "--set", "max_iters=3", "--set", "tau=5e-5"])
+        assert rc == EXIT_OK
+        assert [p.role for p in seen["data"].target] == tags
+        train_points = [p for p in ds.target if p.role != ROLE_TEST]
+        view = training_view(seen["data"]).target
+        assert [p.x.tobytes() for p in view] == [p.x.tobytes() for p in train_points]
+        assert seen["graph"] == build_neighbor_graph(train_points, 5)
+
+        evaled = tmp_path / "eval.json"
+        assert main(["eval", "--model", str(tmp_path / "m.json"), "--data", str(path),
+                     "--seed", "0", "--out", str(evaled)]) == EXIT_OK
+        assert (json.loads(evaled.read_text())["per_domain_accuracy"]
+                == json.loads(report.read_text())["per_domain_accuracy"])
+
+    def test_tagged_file_without_labeled_target_is_data_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ds = load_dataset(str(data))
+        for i, p in enumerate(ds.target):
+            p.role = ROLE_TEST if i % 2 else ROLE_UNLABELED
+        save_dataset(ds, str(data))
+        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv"))
+        assert rc == EXIT_DATA
+        assert "labeled target point" in capsys.readouterr().err
+
     def test_missing_data_file_exit_code(self, tmp_path):
         rc = main(train_args(tmp_path / "absent.json", tmp_path / "m.json",
                              tmp_path / "c.csv"))
@@ -178,6 +240,28 @@ class TestEval:
         assert rc == EXIT_OK
         assert main(["eval", "--model", str(model), "--data", str(other)]) == EXIT_DATA
         assert "do not match" in capsys.readouterr().err
+
+    def test_unlabeled_target_is_data_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ds = load_dataset(str(data))
+        for p in ds.target:
+            p.y = None
+        save_dataset(ds, str(data))
+        model = tmp_path / "m.json"
+        dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=4, ma=4, mt=(4, 4), w=2)
+        save_params(init_params(dims, Rng(0)), str(model))
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == EXIT_DATA
+        assert "labeled" in capsys.readouterr().err
+
+    def test_malformed_model_is_data_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        model = tmp_path / "m.json"
+        assert main(train_args(data, model, tmp_path / "c.csv")) == EXIT_OK
+        doc = json.loads(model.read_text())
+        doc["params"]["theta"]["shape"].reverse()
+        model.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == EXIT_DATA
+        assert "theta" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from convtransfer.convnet import ConvBlock, conv_forward
+from convtransfer.dataset import DataError
 from convtransfer.model import (
     Dims,
     ModelParams,
     classify,
-    embed_attributes,
     init_params,
     load_params,
     predict,
@@ -34,40 +36,6 @@ def zero_params():
         ua=np.zeros((2, 2)),
         u_dom=[np.zeros((2, 2)), np.zeros((3, 2))],
     )
-
-
-class TestEmbedAttributes:
-    def test_all_zero_attributes(self):
-        theta = Rng(1).normal((4, 3))
-        assert np.array_equal(embed_attributes(theta, np.zeros(4)), np.zeros(3))
-
-    def test_selector_returns_row(self):
-        theta = Rng(2).normal((4, 3))
-        e2 = np.zeros(4)
-        e2[2] = 1.0
-        assert np.array_equal(embed_attributes(theta, e2), theta[2])
-
-    def test_row_sum_oracle(self):
-        theta = Rng(3).normal((4, 3))
-        a = np.array([1.0, 0.0, 1.0, 0.0])
-        want = theta[0] + theta[2]
-        assert np.allclose(embed_attributes(theta, a), want, rtol=1e-13)
-
-    def test_additive_over_disjoint_support(self):
-        theta = Rng(4).normal((6, 3))
-        a = np.array([1, 0, 1, 0, 0, 0], dtype=float)
-        b = np.array([0, 1, 0, 0, 1, 0], dtype=float)
-        lhs = embed_attributes(theta, a + b)
-        rhs = embed_attributes(theta, a) + embed_attributes(theta, b)
-        assert np.allclose(lhs, rhs, rtol=1e-12)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            embed_attributes(np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            embed_attributes(np.zeros((3, 2)), np.zeros(4))
 
 
 class TestRepresent:
@@ -175,6 +143,44 @@ def test_save_load_round_trip_bit_exact(tmp_path):
         assert np.array_equal(loaded.u_dom[t], params.u_dom[t])
     assert np.array_equal(loaded.u0, params.u0)
     assert np.array_equal(loaded.ua, params.ua)
+
+
+def test_model_file_in_the_old_key_order_loads_bit_exactly(tmp_path):
+    # model files once listed f_a, f_0, theta, u0, ua, then each domain's
+    # encoder and head; keys are looked up by name, so the order is free
+    params = make_params(78)
+    d = params.dims
+    tensors = {key: arr for _, key, arr in params.named_tensors()}
+    old_order = ["f_a.filters", "f_a.bias", "f_0.filters", "f_0.bias", "theta", "u0", "ua"]
+    for t in range(d.n_domains):
+        old_order += [f"f_dom.{t}.filters", f"f_dom.{t}.bias", f"u_dom.{t}"]
+    doc = {"format_version": 1,
+           "dims": {"d": d.d, "a_dim": d.a_dim, "y_dim": d.y_dim,
+                    "m0": d.m0, "ma": d.ma, "mt": list(d.mt), "w": d.w},
+           "params": {k: {"shape": list(tensors[k].shape), "data": tensors[k].ravel().tolist()}
+                      for k in old_order}}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    loaded = load_params(str(path))
+    for (_, key, want), (_, _, got) in zip(params.named_tensors(), loaded.named_tensors()):
+        assert got.tobytes() == want.tobytes(), key
+
+
+def test_load_rejects_malformed_model_files(tmp_path):
+    path = tmp_path / "model.json"
+    save_params(make_params(79), str(path))
+    good = json.loads(path.read_text())
+    corruptions = {
+        "version": lambda doc: doc.update(format_version=2),
+        "missing": lambda doc: doc["params"].pop("u_dom.1"),
+        "shape": lambda doc: doc["params"]["theta"].update(shape=[2, 4]),
+    }
+    for name, corrupt in corruptions.items():
+        doc = json.loads(json.dumps(good))
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_params(str(path))
 
 
 def test_params_shape_validation():

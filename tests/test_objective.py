@@ -3,10 +3,13 @@ import pytest
 
 from convtransfer.convnet import ConvBlock
 from convtransfer.dataset import (
+    ROLE_TEST,
+    ROLE_UNLABELED,
     DataPoint,
     MultiDomainDataset,
     NeighborGraph,
     build_neighbor_graph,
+    training_view,
 )
 from convtransfer.gradcheck import (
     finite_diff_block,
@@ -16,15 +19,10 @@ from convtransfer.gradcheck import (
 from convtransfer.model import Dims, ModelParams, classify, init_params, represent
 from convtransfer.numeric import Rng
 from convtransfer.objective import (
-    GradientSet,
     TrainConfig,
-    attribute_loss,
-    classification_loss,
-    domain_matching_loss,
     gradient,
     neighbor_loss,
     objective,
-    parameter_blocks,
 )
 
 DIMS = Dims(d=3, a_dim=2, y_dim=2, m0=2, ma=2, mt=(2, 2), w=2)
@@ -69,12 +67,16 @@ def empty_graph(n):
 CFG = TrainConfig(c1=0.5, c2=0.25, c3=2.0, m0=2, mt=2, ma=2, w=2)
 
 
+def _cls(bd):
+    return bd.aux_cls + bd.tgt_cls
+
+
 class TestClassificationLoss:
     def test_zero_params_one_hot_labels(self):
         # h is identically zero, so each labeled point contributes ||y||^2 = 1
         ds = tiny_dataset(1)
         n_labeled = sum(1 for dom in ds.domains for p in dom if p.y is not None)
-        assert classification_loss(zero_params(), ds) == pytest.approx(n_labeled)
+        assert _cls(objective(zero_params(), ds, None, CFG)) == pytest.approx(n_labeled)
 
     def test_zero_when_scores_match_labels(self):
         # zero representations and zero labels are impossible (one-hot), so
@@ -82,7 +84,7 @@ class TestClassificationLoss:
         # scores == y gives zero residual per point
         ds = tiny_dataset(2)
         params = make_params(2)
-        loss = classification_loss(params, ds)
+        loss = _cls(objective(params, ds, None, CFG))
         oracle = 0.0
         for t, dom in enumerate(ds.domains):
             for p in dom:
@@ -102,12 +104,12 @@ class TestClassificationLoss:
                 rep, _ = represent(params, p.x, t)
                 diff = classify(params, rep) - p.y
                 want += sum(float(v) ** 2 for v in diff)
-        assert classification_loss(params, ds) == pytest.approx(want, rel=1e-12)
+        assert _cls(objective(params, ds, None, CFG)) == pytest.approx(want, rel=1e-12)
 
 
 class TestAttributeLoss:
     def test_all_zero(self):
-        assert attribute_loss(zero_params(), tiny_dataset(4)) == 0.0
+        assert objective(zero_params(), tiny_dataset(4), None, CFG).attr_map == 0.0
 
     def test_single_point_norm(self):
         params = make_params(5)
@@ -118,7 +120,7 @@ class TestAttributeLoss:
             for p in dom:
                 rep, _ = represent(params, p.x, t)
                 want += float(rep.ra @ rep.ra)
-        assert attribute_loss(params, ds) == pytest.approx(want, rel=1e-12)
+        assert objective(params, ds, None, CFG).attr_map == pytest.approx(want, rel=1e-12)
 
     def test_summation_oracle(self):
         params = make_params(6)
@@ -129,7 +131,7 @@ class TestAttributeLoss:
                 rep, _ = represent(params, p.x, t)
                 g = rep.ra - params.theta.T @ p.a
                 want += sum(float(v) ** 2 for v in g)
-        assert attribute_loss(params, ds) == pytest.approx(want, rel=1e-12)
+        assert objective(params, ds, None, CFG).attr_map == pytest.approx(want, rel=1e-12)
 
 
 class TestDomainMatchingLoss:
@@ -139,13 +141,13 @@ class TestDomainMatchingLoss:
                for _ in range(3)]
         clones = [DataPoint(x=p.x.copy(), a=p.a.copy(), y=p.y.copy()) for p in pts]
         ds = MultiDomainDataset(d=3, a_dim=2, y_dim=2, domains=[pts, clones])
-        assert domain_matching_loss(make_params(7), ds) == 0.0
+        assert objective(make_params(7), ds, None, CFG).dom_match == 0.0
 
     def test_zero_shared_branch(self):
         params = make_params(8)
         params.f_0.filters[...] = 0.0
         params.f_0.bias[...] = 0.0
-        assert domain_matching_loss(params, tiny_dataset(8)) == 0.0
+        assert objective(params, tiny_dataset(8), None, CFG).dom_match == 0.0
 
     def test_constant_representation_oracle(self):
         # the separation between two constant means is just their distance
@@ -155,7 +157,7 @@ class TestDomainMatchingLoss:
         for t, dom in enumerate(ds.domains):
             means.append(np.mean([represent(params, p.x, t)[0].r0 for p in dom], axis=0))
         want = float(np.sum((means[0] - means[1]) ** 2))
-        assert domain_matching_loss(params, ds) == pytest.approx(want, rel=1e-12)
+        assert objective(params, ds, None, CFG).dom_match == pytest.approx(want, rel=1e-12)
 
 
 class TestNeighborLoss:
@@ -244,6 +246,20 @@ class TestObjective:
         want = cls + CFG.c1 * attr + CFG.c2 * dom_term + CFG.c3 * nb
         assert bd.total == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("role, labeled", [(ROLE_TEST, True), (ROLE_TEST, False),
+                                               (ROLE_UNLABELED, True)])
+    def test_rejects_points_hidden_from_the_trainer(self, role, labeled):
+        ds = tiny_dataset(21)
+        ds.target[1].role = role
+        if not labeled:
+            ds.target[1].y = None
+        for fn in (objective, gradient):
+            with pytest.raises(ValueError, match="training_view"):
+                fn(make_params(21), ds, None, CFG)
+        view = training_view(ds)
+        objective(make_params(21), view, None, CFG)
+        gradient(make_params(21), view, None, CFG)
+
     def test_deterministic(self):
         ds = tiny_dataset(17)
         params = make_params(17)
@@ -286,7 +302,7 @@ class TestGradient:
         # kill the classification contribution so only the attr term remains
         for u in (params.u0, params.ua, *params.u_dom):
             u[...] = 0.0
-        gs = gradient(params, ds, empty_graph(2), cfg)
+        gs = gradient(params, ds, empty_graph(4), cfg)
         assert np.max(np.abs(gs.theta)) < 1e-8
 
     def test_matches_finite_differences_on_smooth_instances(self):
@@ -305,6 +321,16 @@ class TestGradient:
 
 
 def test_parameter_blocks_order():
+    # named_tensors() lists every array of ModelParams exactly once, grouped
+    # into blocks in the block-cyclic order
     params = make_params(20)
-    names = [name for name, _ in parameter_blocks(params, GradientSet.zeros(params))]
-    assert names == ["f_0", "f_1", "f_2", "f_a", "theta", "u_0", "u_1", "u_2", "u_a"]
+    named = params.named_tensors()
+    arrays = [params.f_0.filters, params.f_0.bias, params.f_a.filters, params.f_a.bias,
+              params.theta, params.u0, params.ua, *params.u_dom]
+    arrays += [a for b in params.f_dom for a in (b.filters, b.bias)]
+    assert sorted(map(id, arrays)) == sorted(id(arr) for _, _, arr in named)
+    assert len({key for _, key, _ in named}) == len(named)
+    blocks = list(dict.fromkeys(block for block, _, _ in named))
+    assert blocks == ["f_0", "f_1", "f_2", "f_a", "theta", "u_0", "u_1", "u_2", "u_a"]
+    assert [block for block, _, _ in named] == sorted(
+        (block for block, _, _ in named), key=blocks.index)
