@@ -86,12 +86,10 @@ def conv_forward(block: ConvBlock, x) -> tuple[np.ndarray, ForwardTrace]:
         windows[:, c, :] = xp[:, c:c + P]
     # terms[:, r * w + c, :] is the (row r, offset c) contribution
     terms = block.filters.reshape(block.m, -1, 1) * windows.reshape(1, -1, P)
-    pre = terms[:, 0]
-    for k in range(1, terms.shape[1]):
-        pre = pre + terms[:, k]
-    pre = pre + block.bias[:, None]
+    # add.accumulate sums strictly left to right, one term after the other
+    pre = np.add.accumulate(terms, axis=1)[:, -1] + block.bias[:, None]
     act = np.maximum(pre, 0.0)
-    argmax = np.argmax(act, axis=1)  # np.argmax returns the first maximum
+    argmax = act.argmax(axis=1)  # argmax returns the first maximum
     out = act[np.arange(block.m), argmax]
     trace = ForwardTrace(pre=pre, argmax=argmax, x_padded=xp, n_cols=x.shape[1], output=out)
     return out, trace

@@ -47,7 +47,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
