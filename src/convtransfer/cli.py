@@ -4,8 +4,9 @@ Configuration comes from a flat key=value file (--config) with command-line
 overrides; every run is deterministic given the flags, config file, input
 files, and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 divergence,
-5 gradient-check failure.
+Exit codes: 0 success, 2 configuration error, 3 data error (including an
+unreadable input or unwritable output file), 4 divergence, 5 gradient-check
+failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import dataset as dsmod
@@ -176,6 +178,21 @@ def _train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(str(e)) from e
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail before any work if an output file cannot be written: its
+    directory must exist and it must not be a directory itself."""
+    for path in paths:
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"cannot write {path}: directory {folder} does not exist")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise PermissionError(f"cannot write {path}: permission denied")
+
+
 def _load_split(cfg: dict):
     """The dataset at cfg["data"]. An untagged target domain is split by the
     seed; a tagged one keeps the file's own roles."""
@@ -198,6 +215,7 @@ def _report(params, ds) -> dict:
 
 def cmd_train(cfg: dict) -> int:
     tc = _train_config(cfg)
+    _check_writable(cfg["model_out"], cfg["curve_out"], cfg["report_out"])
     ds = _load_split(cfg)
     graph = build_neighbor_graph(ds.target_train_points(), tc.knn_k)
     params, rows = train(ds, graph, tc)
@@ -221,6 +239,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
+    _check_writable(cfg["report_out"])
     params = load_params(cfg["model"])
     ds = _load_split(cfg)
     _check_compat(params, ds)
@@ -286,7 +305,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

@@ -2,13 +2,20 @@
 
 Each encoder maps a d x L instance matrix (columns are instance feature
 vectors) to a fixed-size vector of length m, one entry per filter. The
-forward pass records enough state (a ForwardTrace) to backpropagate the
+forward pass records enough state (a trace) to backpropagate the
 sub-gradient exactly through the pooling argmax and the ReLU kink.
+
+The kernels run on a batch of n points at once: the ragged matrices are
+right-padded with zero columns to one width (pad_columns), and positions
+past a point's own last window are masked. conv_forward and conv_backward
+are the single-point case.
 
 Conventions, fixed for determinism:
   - pooling ties break toward the lowest position index,
   - the ReLU sub-gradient at exactly 0 is 0,
-  - inputs narrower than the filter window are right-padded with zero columns.
+  - inputs narrower than the filter window are right-padded with zero columns,
+  - the filter and bias gradients of a batch are summed point after point,
+    in batch order.
 """
 
 from __future__ import annotations
@@ -62,37 +69,96 @@ class ForwardTrace:
     output: np.ndarray   # (m,) pooled ReLU activations
 
 
+@dataclass
+class BatchTrace:
+    """State captured by conv_forward_batch, consumed by conv_backward_batch.
+
+    Points run along the last axis, as in pad_columns."""
+
+    pre: np.ndarray      # (m, P, n) pre-activations; -inf past each point's last window
+    argmax: np.ndarray   # (m, n) pooled position per filter and point
+    x_padded: np.ndarray  # (d, P + w - 1, n) zero-padded inputs
+    output: np.ndarray   # (n, m) pooled ReLU activations, one row per point
+
+
+def pad_columns(xs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack n matrices of d x L_i into one (d, max L_i, n) array, point i in
+    [:, :, i] and right-padded with zero columns; returns it with the L_i.
+
+    Points run along the last axis so that one window offset of every point
+    is one contiguous (P, n) slab."""
+    lengths = np.array([x.shape[1] for x in xs], dtype=np.intp)
+    out = np.zeros((xs[0].shape[0], int(lengths.max()), len(xs)))
+    for i, x in enumerate(xs):
+        out[:, :x.shape[1], i] = x
+    return out, lengths
+
+
+def conv_forward_batch(block: ConvBlock, x: np.ndarray,
+                       lengths: np.ndarray) -> tuple[np.ndarray, BatchTrace]:
+    """conv_forward on n points at once: x is (d, L, n) as from pad_columns,
+    lengths the points' own column counts. Returns (n, m) outputs and the trace.
+
+    Every output, pre-activation and argmax equals conv_forward's on the
+    point alone, bit for bit.
+    """
+    d, L, n = x.shape
+    if d != block.d:
+        raise ValueError(f"conv input has {d} rows but block expects {block.d}")
+    w = block.w
+    if L < w:
+        x = np.concatenate([x, np.zeros((d, w - L, n))], axis=1)
+    P = x.shape[1] - w + 1
+    # accumulate products in (row, column) order, bias last, so the result is
+    # bit-identical to the naive sequential definition of the convolution
+    pre = block.filters[:, 0, 0, None, None] * x[None, 0, :P]
+    term = np.empty_like(pre)
+    for r, c in list(np.ndindex(d, w))[1:]:
+        np.multiply(block.filters[:, r, c, None, None], x[None, r, c:c + P], out=term)
+        pre += term
+    pre += block.bias[:, None, None]
+    # a point of L columns has max(L, w) - w + 1 windows; the rest read padding
+    n_windows = np.maximum(lengths, w) - w + 1
+    np.copyto(pre, -np.inf, where=np.arange(P)[:, None] >= n_windows)
+    # ReLU, then the first maximum: a masked position (activation 0) never
+    # comes before a valid one, so it never wins
+    act = np.maximum(pre, 0.0, out=term)
+    argmax = act.argmax(axis=1)
+    out = act.max(axis=1).T
+    return out, BatchTrace(pre=pre, argmax=argmax, x_padded=x, output=out)
+
+
+def conv_backward_batch(block: ConvBlock, trace: BatchTrace,
+                        upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of sum_i (upstream[i] . output[i]) w.r.t. filters and bias,
+    for an (n, m) upstream.
+
+    Each point's contribution u * window is added point after point in
+    batch order, so the sums equal adding conv_backward's per-point results
+    one at a time. Returns (dfilters (m, d, w), dbias (m,)).
+    """
+    n = trace.argmax.shape[1]
+    # a filter whose pooled pre-activation is <= 0 (output 0) passes no gradient
+    u = np.where(trace.output > 0.0, upstream, 0.0)
+    # windows[:, j, i] is point i's (d, w) window at filter j's pooled position
+    windows = np.lib.stride_tricks.sliding_window_view(trace.x_padded, block.w, axis=1)
+    windows = windows[:, trace.argmax, np.arange(n)]              # (d, m, n, w)
+    # add.accumulate sums strictly in point order, starting from zero
+    dfilters = 0.0 + np.add.accumulate(u.T[None, :, :, None] * windows, axis=2)[:, :, -1]
+    dbias = 0.0 + np.add.accumulate(u, axis=0)[-1]
+    return dfilters.transpose(1, 0, 2), dbias
+
+
 def conv_forward(block: ConvBlock, x) -> tuple[np.ndarray, ForwardTrace]:
     """Slide each filter over the columns of x; ReLU; max over positions.
 
     Returns the length-m pooled vector (entries >= 0) and the trace.
     """
     x = as_matrix(x, "conv input")
-    if x.shape[0] != block.d:
-        raise ValueError(
-            f"conv input has {x.shape[0]} rows but block expects {block.d}"
-        )
-    w = block.w
-    if x.shape[1] < w:
-        pad = np.zeros((block.d, w - x.shape[1]))
-        xp = np.concatenate([x, pad], axis=1)
-    else:
-        xp = x
-    # accumulate products in (row, column) order, bias last, so the result is
-    # bit-identical to the naive sequential definition of the convolution
-    P = xp.shape[1] - w + 1
-    windows = np.empty((block.d, w, P))
-    for c in range(w):
-        windows[:, c, :] = xp[:, c:c + P]
-    # terms[:, r * w + c, :] is the (row r, offset c) contribution
-    terms = block.filters.reshape(block.m, -1, 1) * windows.reshape(1, -1, P)
-    # add.accumulate sums strictly left to right, one term after the other
-    pre = np.add.accumulate(terms, axis=1)[:, -1] + block.bias[:, None]
-    act = np.maximum(pre, 0.0)
-    argmax = act.argmax(axis=1)  # argmax returns the first maximum
-    out = act[np.arange(block.m), argmax]
-    trace = ForwardTrace(pre=pre, argmax=argmax, x_padded=xp, n_cols=x.shape[1], output=out)
-    return out, trace
+    out, tr = conv_forward_batch(block, x[:, :, None], np.array([x.shape[1]]))
+    trace = ForwardTrace(pre=tr.pre[:, :, 0], argmax=tr.argmax[:, 0],
+                         x_padded=tr.x_padded[:, :, 0], n_cols=x.shape[1], output=out[0])
+    return out[0], trace
 
 
 def conv_backward(block: ConvBlock, trace: ForwardTrace, upstream):
@@ -107,19 +173,13 @@ def conv_backward(block: ConvBlock, trace: ForwardTrace, upstream):
         raise ValueError(
             f"upstream must have length {block.m}, got shape {upstream.shape}"
         )
-    w = block.w
-    dfilters = np.zeros_like(block.filters)
-    dbias = np.zeros_like(block.bias)
+    batch = BatchTrace(pre=trace.pre[:, :, None], argmax=trace.argmax[:, None],
+                       x_padded=trace.x_padded[:, :, None], output=trace.output[None])
+    dfilters, dbias = conv_backward_batch(block, batch, upstream[None])
+    # input gradient: filter j's weights, scaled by its (masked) upstream,
+    # land on the window at its pooled position, filter after filter
+    u = np.where(trace.output > 0.0, upstream, 0.0)
     dxp = np.zeros_like(trace.x_padded)
-    for j in range(block.m):
-        p = int(trace.argmax[j])
-        if trace.pre[j, p] <= 0.0:
-            continue
-        u = upstream[j]
-        if u == 0.0:
-            continue
-        window = trace.x_padded[:, p:p + w]
-        dfilters[j] += u * window
-        dbias[j] += u
-        dxp[:, p:p + w] += u * block.filters[j]
+    cols = trace.argmax[:, None] + np.arange(block.w)             # (m, w)
+    np.add.at(dxp.T, cols, (u[:, None, None] * block.filters).transpose(0, 2, 1))
     return dfilters, dbias, dxp[:, : trace.n_cols]

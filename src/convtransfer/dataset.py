@@ -300,11 +300,15 @@ def load_dataset(path: str) -> MultiDomainDataset:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported dataset version {doc.get('version')}")
     for key in ("d", "A", "Y", "domains"):
         if key not in doc:
             raise DataError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["domains"], list) or not all(isinstance(d, dict) for d in doc["domains"]):
+        raise DataError(f"{path}: 'domains' must be a list of objects")
     targets = [dom for dom in doc["domains"] if dom.get("target")]
     if len(targets) != 1:
         raise DataError(f"{path}: exactly one domain must have target: true, found {len(targets)}")
@@ -312,9 +316,14 @@ def load_dataset(path: str) -> MultiDomainDataset:
         raise DataError(f"{path}: the target domain must be listed last")
     domains = []
     for t, dom in enumerate(doc["domains"]):
+        entries = dom.get("points")
+        if not isinstance(entries, list) or not entries:
+            raise DataError(f"{path}: domain {t} has no points (expected a non-empty 'points' list)")
         points = []
-        for i, entry in enumerate(dom.get("points", [])):
+        for i, entry in enumerate(entries):
             where = f"{path}: domain {t}, point {i}"
+            if not isinstance(entry, dict):
+                raise DataError(f"{where}: must be an object")
             try:
                 x = np.asarray(entry["x"], dtype=np.float64)
                 a = np.asarray(entry["a"], dtype=np.float64)

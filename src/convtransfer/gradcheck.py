@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import DataPoint, MultiDomainDataset, build_neighbor_graph
-from .model import Dims, ModelParams, init_params, represent
+from .model import Dims, ModelParams, init_params
 from .numeric import Rng
-from .objective import TrainConfig, gradient, objective
+from .objective import Batch, TrainConfig, forward, pack, value_and_grad
 
 KINK_MARGIN = 1e-3
 DEFAULT_EPS = 1e-5
@@ -24,17 +24,16 @@ DEFAULT_TOLERANCE = 1e-4
 def is_smooth(params: ModelParams, ds: MultiDomainDataset, margin: float = KINK_MARGIN) -> bool:
     """True when no pooled pre-activation sits within `margin` of the ReLU
     kink or of an argmax tie, for any point and any branch."""
-    for t, dom in enumerate(ds.domains):
-        for p in dom:
-            for trace in represent(params, p.x, t)[1]:
-                for row in trace.pre:
-                    top = np.max(row)
-                    if abs(top) <= margin:
-                        return False
-                    if top > 0 and row.size > 1:
-                        second = np.partition(row, -2)[-2]
-                        if top - second <= margin:
-                            return False
+    for trace in forward(params, pack(params, ds, None)).traces:
+        # (m, P, n); positions past a point's last window hold -inf, so
+        # a point with one window never fails the tie test
+        top = trace.pre.max(axis=1)
+        if np.any(np.abs(top) <= margin):
+            return False
+        if trace.pre.shape[1] > 1:
+            second = np.partition(trace.pre, -2, axis=1)[:, -2]
+            if np.any((top > 0) & (top - second <= margin)):
+                return False
     return True
 
 
@@ -72,17 +71,18 @@ def random_smooth_instance(seed: int, n_domains: int = 3, points_per_domain: int
     raise RuntimeError(f"no smooth instance found in {max_tries} tries for seed {seed}")
 
 
-def finite_diff_block(params, ds, graph, cfg, arr: np.ndarray, eps: float) -> np.ndarray:
-    """Central finite differences of the weighted total w.r.t. one tensor."""
+def finite_diff_block(params, batch: Batch, cfg, arr: np.ndarray, eps: float) -> np.ndarray:
+    """Central finite differences of the weighted total w.r.t. one tensor,
+    on a packed dataset (objective.pack)."""
     fd = np.zeros_like(arr)
     flat = arr.ravel()
     fd_flat = fd.ravel()
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + eps
-        hi = objective(params, ds, graph, cfg).total
+        hi = value_and_grad(params, batch, cfg, with_grad=False)[0].total
         flat[k] = orig - eps
-        lo = objective(params, ds, graph, cfg).total
+        lo = value_and_grad(params, batch, cfg, with_grad=False)[0].total
         flat[k] = orig
         fd_flat[k] = (hi - lo) / (2.0 * eps)
     return fd
@@ -106,11 +106,12 @@ def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS,
     `corrupt_block` flips the sign of one analytic block before comparing;
     it exists only so tests can prove the check catches wrong gradients.
     """
-    gs = gradient(params, ds, graph, cfg)
+    batch = pack(params, ds, graph)
+    gs = value_and_grad(params, batch, cfg)[1]
     errs: dict[str, float] = {}
     for (block, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
         analytic = -grad if block == corrupt_block else grad
-        fd = finite_diff_block(params, ds, graph, cfg, arr, eps)
+        fd = finite_diff_block(params, batch, cfg, arr, eps)
         err = float(np.max(relative_error(analytic, fd))) if arr.size else 0.0
         errs[block] = max(errs.get(block, 0.0), err)
     return errs

@@ -144,6 +144,12 @@ def represent(params: ModelParams, x, t: int):
     return Representation(r0=r0, rt=rt, ra=ra, t=t), (tr0, trt, tra)
 
 
+def head_scores(params: ModelParams, r0, rt, ra, t: int) -> np.ndarray:
+    """Scores u0.T r0 + u_t.T rt + ua.T ra (no bias) of domain-t points: one
+    point's branch outputs as vectors, or n points' as rows of (n, m) arrays."""
+    return r0 @ params.u0 + rt @ params.u_dom[t] + ra @ params.ua
+
+
 def classify(params: ModelParams, rep: Representation) -> np.ndarray:
     """Score vector u0.T r0 + u_t.T rt + ua.T ra (no bias)."""
     ut = params.u_dom[rep.t]
@@ -154,7 +160,7 @@ def classify(params: ModelParams, rep: Representation) -> np.ndarray:
             f"representation shapes {(rep.r0.shape, rep.rt.shape, rep.ra.shape)} "
             f"do not match heads {(params.u0.shape, ut.shape, params.ua.shape)}"
         )
-    return params.u0.T @ rep.r0 + ut.T @ rep.rt + params.ua.T @ rep.ra
+    return head_scores(params, rep.r0, rep.rt, rep.ra, rep.t)
 
 
 def predict(scores) -> int:

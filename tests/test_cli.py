@@ -206,6 +206,38 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert "labeled target point" in capsys.readouterr().err
 
+    def test_empty_domain_is_data_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        doc = json.loads(data.read_text())
+        doc["domains"][0]["points"] = []
+        data.write_text(json.dumps(doc))
+        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv"))
+        assert rc == EXIT_DATA
+        assert "domain 0 has no points" in capsys.readouterr().err
+
+    def test_non_object_document_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "list.json"
+        data.write_text("[]\n")
+        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv"))
+        assert rc == EXIT_DATA
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["model", "curve", "report"])
+    def test_unwritable_output_fails_before_training(self, tmp_path, capsys, monkeypatch, bad):
+        data = synth(tmp_path)
+
+        def must_not_train(*args):
+            raise AssertionError("training started before the output paths were checked")
+
+        monkeypatch.setattr(cli, "train", must_not_train)
+        paths = {"model": tmp_path / "m.json", "curve": tmp_path / "c.csv",
+                 "report": tmp_path / "r.json"}
+        paths[bad] = tmp_path / "absent" / "out"
+        rc = main(train_args(data, paths["model"], paths["curve"], ["--out", str(paths["report"])]))
+        assert rc == EXIT_DATA
+        assert str(paths[bad]) in capsys.readouterr().err
+        assert not any(p.exists() for p in paths.values())
+
     def test_missing_data_file_exit_code(self, tmp_path):
         rc = main(train_args(tmp_path / "absent.json", tmp_path / "m.json",
                              tmp_path / "c.csv"))

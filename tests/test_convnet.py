@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convtransfer.convnet import ConvBlock, conv_backward, conv_forward
+from convtransfer.convnet import (
+    ConvBlock,
+    conv_backward,
+    conv_backward_batch,
+    conv_forward,
+    conv_forward_batch,
+    pad_columns,
+)
 from convtransfer.numeric import Rng
 
 
@@ -181,3 +190,77 @@ def test_backward_matches_finite_differences():
                 denom = max(abs(g), abs(fd))
                 if denom > 1e-8:
                     assert abs(g - fd) / denom < 1e-4
+
+
+def naive_pre(filters, bias, x):
+    """Triple-loop pre-activation map (m, P), sums in (row, column) order."""
+    m, d, w = filters.shape
+    if x.shape[1] < w:
+        x = np.concatenate([x, np.zeros((d, w - x.shape[1]))], axis=1)
+    P = x.shape[1] - w + 1
+    pre = np.zeros((m, P))
+    for j in range(m):
+        for p in range(P):
+            s = 0.0
+            for r in range(d):
+                for c in range(w):
+                    s += filters[j, r, c] * x[r, p + c]
+            pre[j, p] = s + bias[j]
+    return pre
+
+
+# small integers make ReLU kinks and pooling ties common; floats do the rest
+VALUES = st.one_of(st.integers(-2, 2).map(float),
+                   st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def ragged_batches(draw):
+    """(block, points, upstream): 1 to 6 points of 1 to 7 columns, so
+    batches of one and points shorter than, as wide as and wider than the
+    window all occur."""
+    m, d, w = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+
+    def array(*shape):
+        flat = draw(st.lists(VALUES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(flat).reshape(shape)
+
+    block = ConvBlock(filters=array(m, d, w), bias=array(m))
+    return block, [array(d, L) for L in lengths], array(n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_batches())
+def test_batched_forward_equals_naive_per_point_forward(case):
+    block, xs, _ = case
+    x, lengths = pad_columns(xs)
+    out, trace = conv_forward_batch(block, x, lengths)
+    for i, xi in enumerate(xs):
+        pre = naive_pre(block.filters, block.bias, xi)
+        P = pre.shape[1]
+        act = np.maximum(pre, 0.0)
+        assert np.array_equal(trace.pre[:, :P, i], pre)
+        assert np.all(trace.pre[:, P:, i] == -np.inf)
+        assert np.array_equal(trace.argmax[:, i], act.argmax(axis=1))  # first maximum
+        assert np.array_equal(out[i], naive_forward(block.filters, block.bias, xi))
+        single, _ = conv_forward(block, xi)
+        assert np.array_equal(out[i], single)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_batches())
+def test_batched_backward_equals_sequential_per_point_sums(case):
+    block, xs, upstream = case
+    x, lengths = pad_columns(xs)
+    _, trace = conv_forward_batch(block, x, lengths)
+    dfilters, dbias = conv_backward_batch(block, trace, upstream)
+    want_f = np.zeros_like(block.filters)
+    want_b = np.zeros_like(block.bias)
+    for xi, ui in zip(xs, upstream):
+        df, db, _ = conv_backward(block, conv_forward(block, xi)[1], ui)
+        want_f += df
+        want_b += db
+    assert dfilters.tobytes() == want_f.tobytes()
+    assert dbias.tobytes() == want_b.tobytes()

@@ -143,6 +143,13 @@ class TestDomainMatchingLoss:
         ds = MultiDomainDataset(d=3, a_dim=2, y_dim=2, domains=[pts, clones])
         assert objective(make_params(7), ds, None, CFG).dom_match == 0.0
 
+    def test_single_domain_is_float_zero(self):
+        # curve.csv writes repr() of each term: 0.0, never 0
+        ds = MultiDomainDataset(d=3, a_dim=2, y_dim=2, domains=[tiny_dataset(22).target])
+        params = init_params(Dims(d=3, a_dim=2, y_dim=2, m0=2, ma=2, mt=(2,), w=2), Rng(22), 0.2)
+        bd = objective(params, ds, None, CFG)
+        assert repr(bd.dom_match) == "0.0"
+
     def test_zero_shared_branch(self):
         params = make_params(8)
         params.f_0.filters[...] = 0.0

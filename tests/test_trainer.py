@@ -18,6 +18,7 @@ from convtransfer.objective import (
     DivergenceError,
     TrainConfig,
     evaluate,
+    objective,
     train,
     write_trajectory_csv,
 )
@@ -73,6 +74,15 @@ class TestTrainLoop:
             _, rows = train(ds, graph, cfg)
             out[mode] = rows[1].breakdown.total
         assert out["joint"] != out["block-cyclic"]
+
+    @pytest.mark.parametrize("mode", ["joint", "block-cyclic"])
+    def test_last_row_is_the_objective_at_the_returned_parameters(self, mode):
+        # each row comes from the forward pass that also feeds the next step
+        ds, graph = small_instance(5)
+        cfg = TrainConfig(tau=1e-4, max_iters=3, seed=5, update_mode=mode)
+        params, rows = train(ds, graph, cfg)
+        assert len(rows) == 4
+        assert rows[-1].breakdown == objective(params, training_view(ds), graph, cfg)
 
     def test_divergence_raises_with_iteration(self):
         ds, graph = small_instance(0)
