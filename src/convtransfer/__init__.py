@@ -28,7 +28,6 @@ from .model import (
     classify,
     init_params,
     load_params,
-    predict,
     represent,
     save_params,
 )

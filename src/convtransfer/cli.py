@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
-from . import dataset as dsmod
 from . import gradcheck as gcmod
-from .dataset import DataError, SynthSpec, build_neighbor_graph, generate_synthetic, load_dataset, save_dataset, split_target
+from .dataset import ROLE_TEST, DataError, SynthSpec, build_neighbor_graph, generate_synthetic, load_dataset, save_dataset, split_target
 from .model import load_params, save_params
 from .objective import DivergenceError, TrainConfig, _check_compat, evaluate, train, write_trajectory_csv
 
@@ -34,6 +34,9 @@ class ConfigError(Exception):
     pass
 
 
+SEED_BOUND = 2**64  # seeds are 64-bit unsigned integers
+
+
 def _positive_int(v):
     n = int(v)
     if n < 1:
@@ -41,34 +44,28 @@ def _positive_int(v):
     return n
 
 
-def _nonneg_int(v):
+def _seed(v):
     n = int(v)
-    if n < 0:
-        raise ValueError(f"must be a nonnegative integer, got {v}")
+    if not 0 <= n < SEED_BOUND:
+        raise ValueError(f"must be an integer in [0, 2**64), got {v}")
     return n
 
 
-def _nonneg_float(v):
+def _positive_float(v):
     x = float(v)
-    if x < 0:
-        raise ValueError(f"must be nonnegative, got {v}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"must be positive and finite, got {v}")
     return x
 
 
 # key -> (parser, default); default REQUIRED means the merged config must set it
 REQUIRED = object()
 
-# seed is validated here for every command; workers is accepted and ignored
-COMMON_KEYS = {
-    "seed": (_nonneg_int, 0),
-    "workers": (_positive_int, 1),
-}
-
 # One key per TrainConfig field, parsed by the type of its default and
 # validated by TrainConfig itself. The CLI's one override: 200 iterations
 # by default where the library runs 100.
 TRAIN_KEYS = {f.name: (type(f.default), f.default) for f in dataclasses.fields(TrainConfig)
-              if f.name not in COMMON_KEYS}
+              if f.name != "seed"}
 TRAIN_KEYS["max_iters"] = (int, 200)
 
 SYNTH_SPEC_KEYS = {
@@ -79,20 +76,24 @@ SYNTH_SPEC_KEYS = {
     "classes": (_positive_int, 2),
     "l_min": (_positive_int, 3),
     "l_max": (_positive_int, 6),
-    "margin": (_nonneg_float, 3.0),
-    "shift": (_nonneg_float, 1.0),
-    "noise": (_nonneg_float, 0.5),
+    # validated by SynthSpec, whose field names these are
+    "margin": (float, 3.0),
+    "shift": (float, 1.0),
+    "noise": (float, 0.5),
 }
 
+SEED = (_seed, 0)
+
 SCHEMAS = {
-    "synth": {**COMMON_KEYS, **SYNTH_SPEC_KEYS, "out": (str, REQUIRED)},
-    "train": {**COMMON_KEYS, **TRAIN_KEYS,
+    "synth": {"seed": SEED, **SYNTH_SPEC_KEYS, "out": (str, REQUIRED)},
+    # workers is accepted and ignored: training runs in one thread
+    "train": {"seed": SEED, "workers": (_positive_int, 1), **TRAIN_KEYS,
               "data": (str, REQUIRED), "model_out": (str, REQUIRED),
               "curve_out": (str, REQUIRED), "report_out": (str, None)},
-    "eval": {**COMMON_KEYS, "model": (str, REQUIRED), "data": (str, REQUIRED),
+    "eval": {"seed": SEED, "model": (str, REQUIRED), "data": (str, REQUIRED),
              "report_out": (str, None)},
-    "gradcheck": {**COMMON_KEYS, "instances": (_positive_int, 3),
-                  "eps": (_nonneg_float, gcmod.DEFAULT_EPS)},
+    "gradcheck": {"seed": SEED, "instances": (_positive_int, 3),
+                  "eps": (_positive_float, gcmod.DEFAULT_EPS)},
 }
 
 
@@ -124,17 +125,9 @@ def build_config(command: str, args: argparse.Namespace) -> dict:
         key, _, value = item.partition("=")
         merged[key.strip()] = value.strip()
     # dedicated flags override file and --set values
-    flag_map = {
-        "synth": {"seed": args.seed, "out": args.out, "workers": args.workers},
-        "train": {"seed": args.seed, "data": args.data, "model": None,
-                  "model_out": args.model, "report_out": args.out, "workers": args.workers},
-        "eval": {"seed": args.seed, "model": args.model, "data": args.data,
-                 "report_out": args.out, "workers": args.workers},
-        "gradcheck": {"seed": args.seed, "workers": args.workers},
-    }[command]
-    for key, value in flag_map.items():
-        if value is not None:
-            merged[key] = str(value)
+    for key in COMMANDS[command][2].values():
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
 
     unknown = sorted(set(merged) - set(schema))
     if unknown:
@@ -207,7 +200,7 @@ def _report(params, ds) -> dict:
     per_domain = {}
     for t in range(T - 1):
         per_domain[f"domain_{t + 1}"] = evaluate(params, ds.domains[t], t)
-    test_points = ds.target_points(dsmod.ROLE_TEST)
+    test_points = ds.target_points(ROLE_TEST)
     tgt = evaluate(params, test_points or ds.target, T - 1)
     per_domain[f"domain_{T}_target_test"] = tgt
     return {"per_domain_accuracy": per_domain, "target_test_accuracy": tgt}
@@ -224,10 +217,7 @@ def cmd_train(cfg: dict) -> int:
     report = _report(params, ds)
     final = rows[-1].breakdown
     report["iterations"] = rows[-1].iteration
-    report["final_objective"] = {
-        "aux_cls": final.aux_cls, "tgt_cls": final.tgt_cls, "attr_map": final.attr_map,
-        "dom_match": final.dom_match, "neighbor": final.neighbor, "total": final.total,
-    }
+    report["final_objective"] = dataclasses.asdict(final)
     if cfg["report_out"]:
         with open(cfg["report_out"], "w") as f:
             json.dump(report, f, indent=1, sort_keys=True)
@@ -254,6 +244,9 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
+    if cfg["seed"] + cfg["instances"] > SEED_BOUND:
+        raise ConfigError(f"seed + instances - 1 must be below 2**64, got seed {cfg['seed']} "
+                          f"and {cfg['instances']} instances")
     worst: dict[str, float] = {}
     for i in range(cfg["instances"]):
         params, ds, graph, tc = gcmod.random_smooth_instance(cfg["seed"] + i)
@@ -271,26 +264,31 @@ def cmd_gradcheck(cfg: dict) -> int:
     return EXIT_OK
 
 
+# command -> (function, help, {flag: the key it sets})
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic multi-domain dataset file",
+              {"--seed": "seed", "--out": "out"}),
+    "train": (cmd_train, "split, build the neighbor graph, and run the descent loop",
+              {"--seed": "seed", "--data": "data", "--model": "model_out",
+               "--out": "report_out", "--workers": "workers"}),
+    "eval": (cmd_eval, "evaluate a saved model on a dataset",
+             {"--seed": "seed", "--model": "model", "--data": "data", "--out": "report_out"}),
+    "gradcheck": (cmd_gradcheck, "finite-difference validation of the analytic gradient",
+                  {"--seed": "seed"}),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convtransfer",
         description="Cross-domain transfer learning with convolutional attribute embeddings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synth", "generate a synthetic multi-domain dataset file"),
-        ("train", "split, build the neighbor graph, and run the descent loop"),
-        ("eval", "evaluate a saved model on a dataset"),
-        ("gradcheck", "finite-difference validation of the analytic gradient"),
-    ):
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--seed", type=int, help="random seed (overrides config)")
-        p.add_argument("--out", help="output path (synth: dataset; train/eval: report)")
-        p.add_argument("--data", help="dataset file path")
-        p.add_argument("--model", help="model file path (train: output; eval: input)")
-        p.add_argument("--workers", type=int,
-                       help="accepted (N >= 1) and ignored: every command runs in one thread")
+        for flag, key in flags.items():
+            p.add_argument(flag, dest=key, help=f"the {key} key (overrides --config and --set)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any configuration key (repeatable)")
     return parser
@@ -299,9 +297,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = build_config(args.command, args)
-        return {"synth": cmd_synth, "train": cmd_train,
-                "eval": cmd_eval, "gradcheck": cmd_gradcheck}[args.command](cfg)
+        return COMMANDS[args.command][0](build_config(args.command, args))
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -66,10 +66,8 @@ class MultiDomainDataset:
     def target(self) -> list[DataPoint]:
         return self.domains[-1]
 
-    def target_points(self, role: str | None) -> list[DataPoint]:
-        """Target points with the given role; role=None returns all."""
-        if role is None:
-            return list(self.target)
+    def target_points(self, role: str) -> list[DataPoint]:
+        """Target points with the given role, in order."""
         return [p for p in self.target if p.role == role]
 
     def target_train_points(self) -> list[DataPoint]:
@@ -227,8 +225,10 @@ class SynthSpec:
                 raise DataError(f"synthetic spec field {name} must be positive")
         if self.l_min > self.l_max:
             raise DataError(f"l_min={self.l_min} exceeds l_max={self.l_max}")
-        if self.margin < 0 or self.shift < 0 or self.noise < 0:
-            raise DataError("margin, shift and noise must be nonnegative")
+        for name in ("margin", "shift", "noise"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DataError(f"synthetic spec field {name} must be nonnegative and finite, "
+                                f"got {getattr(self, name)}")
 
 
 def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:

@@ -11,7 +11,7 @@ heads; there is no bias term in the heads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,11 +36,10 @@ class Dims:
     w: int
 
     def __post_init__(self):
-        fields = {"d": self.d, "a_dim": self.a_dim, "y_dim": self.y_dim,
-                  "m0": self.m0, "ma": self.ma, "w": self.w}
-        for name, v in fields.items():
-            if int(v) < 1:
-                raise ValueError(f"dimension {name} must be positive, got {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "mt" and int(v) < 1:
+                raise ValueError(f"dimension {f.name} must be positive, got {v}")
         if len(self.mt) < 1 or any(int(m) < 1 for m in self.mt):
             raise ValueError(f"per-domain output sizes must be positive, got {self.mt}")
         object.__setattr__(self, "mt", tuple(int(m) for m in self.mt))
@@ -163,14 +162,6 @@ def classify(params: ModelParams, rep: Representation) -> np.ndarray:
     return head_scores(params, rep.r0, rep.rt, rep.ra, rep.t)
 
 
-def predict(scores) -> int:
-    """Argmax class index; ties break toward the lowest index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size < 1:
-        raise ValueError(f"scores must be a non-empty vector, got shape {scores.shape}")
-    return int(np.argmax(scores))
-
-
 def _new_params(dims: Dims, draw) -> ModelParams:
     """Parameters of the given dims, each tensor drawn as draw(shape) in the
     fixed order f_a, f_0, per-domain blocks, theta, u0, ua, heads."""
@@ -207,11 +198,9 @@ def init_params(dims: Dims, rng: Rng, scale: float = 0.1) -> ModelParams:
 
 def save_params(params: ModelParams, path: str) -> None:
     """Write a self-describing JSON document; load_params round-trips bit-exactly."""
-    d = params.dims
     doc = {
         "format_version": FORMAT_VERSION,
-        "dims": {"d": d.d, "a_dim": d.a_dim, "y_dim": d.y_dim,
-                 "m0": d.m0, "ma": d.ma, "mt": list(d.mt), "w": d.w},
+        "dims": asdict(params.dims),
         "params": {key: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
                    for _, key, arr in params.named_tensors()},
     }
@@ -221,21 +210,22 @@ def save_params(params: ModelParams, path: str) -> None:
 
 
 def load_params(path: str) -> ModelParams:
-    """Read a save_params document; a wrong version, a missing key or a
-    tensor of the wrong shape raises DataError."""
+    """Read a save_params document; a wrong version, a missing key, or a
+    tensor of the wrong shape or with non-finite entries raises DataError."""
     try:
         with open(path) as f:
             doc = json.load(f)
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {doc.get('format_version')}")
         dd = doc["dims"]
-        params = zero_params(Dims(d=dd["d"], a_dim=dd["a_dim"], y_dim=dd["y_dim"],
-                                  m0=dd["m0"], ma=dd["ma"], mt=tuple(dd["mt"]), w=dd["w"]))
+        params = zero_params(Dims(**{f.name: dd[f.name] for f in fields(Dims)}))
         for _, key, arr in params.named_tensors():
             entry = doc["params"][key]
             value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if value.shape != arr.shape:
                 raise ValueError(f"{key} has shape {value.shape}, expected {arr.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key} holds non-finite entries")
             arr[...] = value
     except KeyError as e:
         raise DataError(f"{path}: missing model entry {e}") from e

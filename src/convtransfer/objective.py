@@ -25,7 +25,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -64,13 +64,15 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "tau", "knn_k"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         for name in ("max_iters", "m0", "mt", "ma", "w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.init_range <= 0:
-            raise ValueError(f"init_range must be positive, got {self.init_range}")
+        # the initial draw spans [-init_range, init_range], a width that must be finite
+        if not 0 < 2 * self.init_range < math.inf:
+            raise ValueError(f"init_range must be positive with a finite 2 * init_range, "
+                             f"got {self.init_range}")
         if self.update_mode not in ("joint", "block-cyclic"):
             raise ValueError(f"update_mode must be 'joint' or 'block-cyclic', got {self.update_mode!r}")
 
@@ -300,15 +302,15 @@ class TrajectoryRow:
 
 EARLY_STOP_REL_TOL = 1e-6
 
-CSV_HEADER = "iter,aux_cls,tgt_cls,attr_map,dom_match,neighbor,total,target_test_accuracy"
+CSV_HEADER = ",".join(["iter", *(f.name for f in fields(ObjectiveBreakdown)),
+                       "target_test_accuracy"])
 
 
 def write_trajectory_csv(rows: list[TrajectoryRow], path: str) -> None:
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
         for r in rows:
-            b = r.breakdown
-            vals = [b.aux_cls, b.tgt_cls, b.attr_map, b.dom_match, b.neighbor, b.total, r.accuracy]
+            vals = [*astuple(r.breakdown), r.accuracy]
             f.write(str(r.iteration) + "," + ",".join(repr(v) for v in vals) + "\n")
 
 
@@ -333,7 +335,7 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
                 m0=cfg.m0, ma=cfg.ma, mt=(cfg.mt,) * T, w=cfg.w)
     params = init_params(dims, Rng(cfg.seed), cfg.init_range)
     batch = pack(params, view, graph)
-    test_points = [p for p in ds.target if p.role == ROLE_TEST]
+    test_points = ds.target_points(ROLE_TEST)
     test_batch = _eval_batch(params, test_points, T - 1) if test_points else None
     # joint mode steps every block at once; block-cyclic steps one block per
     # gradient, in named_tensors() order

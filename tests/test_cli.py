@@ -10,6 +10,7 @@ from convtransfer.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGED,
+    EXIT_GRADCHECK,
     EXIT_OK,
     main,
 )
@@ -69,10 +70,25 @@ class TestSynth:
         assert rc == EXIT_CONFIG
         assert "bogus" in capsys.readouterr().err
 
-    def test_invalid_value_is_config_error(self, capsys):
-        rc = main(["synth", "--out", "/tmp/x.json", "--set", "classes=0"])
-        assert rc == EXIT_CONFIG
-        assert "classes" in capsys.readouterr().err
+    def test_invalid_value_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "x.json")
+        cases = [
+            (["synth", "--out", out, "--set", "classes=0"], "classes"),
+            (["synth", "--out", out, "--set", "noise=nan"], "noise"),
+            (["synth", "--out", out, "--set", "margin=inf"], "margin"),
+            (["synth", "--out", out, "--set", "shift=nan"], "shift"),
+            (["synth", "--out", out, "--seed", str(2**64)], "seed"),
+            (["gradcheck", "--seed", str(2**64)], "seed"),
+            # the per-instance seeds run from seed to seed + instances - 1
+            (["gradcheck", "--seed", str(2**64 - 1), "--set", "instances=2"], "seed"),
+            (["gradcheck", "--set", "eps=0"], "eps"),
+            (["gradcheck", "--set", "eps=inf"], "eps"),
+            (["gradcheck", "--set", "eps=nan"], "eps"),
+        ]
+        for argv, key in cases:
+            assert main(argv) == EXIT_CONFIG, argv
+            assert key in capsys.readouterr().err, argv
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestConfigFile:
@@ -157,10 +173,12 @@ class TestTrain:
 
     def test_invalid_train_value_is_config_error(self, tmp_path, capsys):
         data = synth(tmp_path)
-        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv",
-                             ["--set", "init_range=-1"]))
-        assert rc == EXIT_CONFIG
-        assert "init_range" in capsys.readouterr().err
+        for key, value in [("init_range", "-1"), ("init_range", "nan"), ("init_range", "inf"),
+                           ("init_range", "1e308"), ("tau", "nan"), ("c1", "nan")]:
+            rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv",
+                                 ["--set", f"{key}={value}"]))
+            assert rc == EXIT_CONFIG, (key, value)
+            assert key in capsys.readouterr().err, (key, value)
 
     def test_tagged_file_keeps_its_split(self, tmp_path, monkeypatch):
         path = tmp_path / "split.json"
@@ -303,3 +321,27 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "block theta:" in out
         assert "passed" in out
+
+    def test_non_finite_differences_fail(self, capsys):
+        # a step of 1e300 overflows every finite difference to NaN or inf
+        with np.errstate(all="ignore"):
+            rc = main(["gradcheck", "--set", "instances=1", "--set", "eps=1e300"])
+        assert rc == EXIT_GRADCHECK
+        assert "FAILED" in capsys.readouterr().err
+
+
+# settings that their command does not read: flags of other commands, and
+# the workers key outside train
+@pytest.mark.parametrize("command, setting", [
+    ("synth", "--data"), ("synth", "--model"), ("synth", "--workers"), ("eval", "--workers"),
+    ("gradcheck", "--out"), ("gradcheck", "--data"), ("gradcheck", "--model"),
+    ("gradcheck", "--workers"), ("eval", "workers"),
+])
+def test_unread_setting_is_config_error(command, setting, capsys):
+    argv = [command, setting, "2"] if setting.startswith("--") else [command, "--set", f"{setting}=2"]
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse rejects a flag its command lacks
+        rc = e.code
+    assert rc == EXIT_CONFIG
+    assert setting in capsys.readouterr().err

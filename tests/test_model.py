@@ -11,7 +11,6 @@ from convtransfer.model import (
     classify,
     init_params,
     load_params,
-    predict,
     represent,
     save_params,
 )
@@ -90,28 +89,6 @@ class TestClassify:
         assert np.array_equal(classify(params, rep2), 2.0 * classify(params, rep))
 
 
-class TestPredict:
-    def test_basic(self):
-        assert predict(np.array([0.1, 0.9])) == 1
-
-    def test_tie_breaks_low(self):
-        assert predict(np.array([0.5, 0.5])) == 0
-
-    def test_matches_linear_scan_oracle(self):
-        rng = Rng(18)
-        for _ in range(50):
-            v = rng.normal((6,))
-            best = 0
-            for i in range(1, 6):
-                if v[i] > v[best]:
-                    best = i
-            assert predict(v) == best
-
-    def test_invariant_under_constant_shift(self):
-        v = np.array([1.0, -2.0, 3.5, 0.25])
-        assert predict(v) == predict(v + 8.0)
-
-
 class TestInitParams:
     def test_deterministic(self):
         a, b = make_params(42), make_params(42)
@@ -174,6 +151,9 @@ def test_load_rejects_malformed_model_files(tmp_path):
         "version": lambda doc: doc.update(format_version=2),
         "missing": lambda doc: doc["params"].pop("u_dom.1"),
         "shape": lambda doc: doc["params"]["theta"].update(shape=[2, 4]),
+        # json reads NaN and Infinity as floats
+        "nan": lambda doc: doc["params"]["u0"]["data"].__setitem__(0, float("nan")),
+        "infinity": lambda doc: doc["params"]["theta"]["data"].__setitem__(1, float("inf")),
     }
     for name, corrupt in corruptions.items():
         doc = json.loads(json.dumps(good))

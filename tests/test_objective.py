@@ -15,6 +15,7 @@ from convtransfer.gradcheck import (
     finite_diff_block,
     gradient_check,
     random_smooth_instance,
+    relative_error,
 )
 from convtransfer.model import Dims, ModelParams, classify, init_params, represent
 from convtransfer.numeric import Rng
@@ -318,6 +319,11 @@ class TestGradient:
                                            n_domains=2, d=4, m=3)
             errs = gradient_check(*parts)
             assert max(errs.values()) < 1e-4, (seed, errs)
+
+    def test_non_finite_entry_scores_inf(self):
+        a = np.array([1.0, np.nan, 2.0, 0.0, 1.0])
+        b = np.array([1.0, 1.0, np.inf, 0.0, 3.0])
+        assert relative_error(a, b).tolist() == [0.0, np.inf, np.inf, 0.0, 2.0 / 3.0]
 
     def test_corrupted_block_is_caught(self):
         parts = random_smooth_instance(123, points_per_domain=2, n_domains=2, d=4, m=3)

@@ -13,6 +13,7 @@ from convtransfer.dataset import (
     split_target,
     training_view,
 )
+from convtransfer.model import Dims, zero_params
 from convtransfer.objective import (
     CSV_HEADER,
     DivergenceError,
@@ -131,6 +132,16 @@ class TestEvaluateAndView:
         assert rows[-1].accuracy == acc
         with pytest.raises(ValueError):
             evaluate(params, [], 0)
+
+    def test_zero_heads_score_every_point_as_class_0(self):
+        # every score ties at zero, and ties break toward the lowest class
+        ds, _ = small_instance(0)
+        dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=4, ma=4,
+                    mt=(4,) * ds.n_domains, w=2)
+        params = zero_params(dims)
+        points = ds.domains[0]
+        assert evaluate(params, [p for p in points if p.y[0] == 1.0], 0) == 1.0
+        assert evaluate(params, [p for p in points if p.y[1] == 1.0], 0) == 0.0
 
     def test_training_view_hides_test_and_unlabeled(self):
         ds, _ = small_instance(1)
