@@ -22,22 +22,22 @@ out, trace = conv_forward(block, x)
 print("input (d x L):")
 print(x)
 print(f"\npre-activations ({m} filters x {x.shape[1] - w + 1} positions):")
-print(trace.pre)
-print("\nmax position per filter:", trace.argmax)
+print(trace.pre[..., 0])
+print("\nmax position per filter:", trace.argmax[..., 0])
 print("pooled output:", out)
 
 # Narrow inputs are padded with zero columns so every instance embeds.
 narrow = np.array([[1.0], [2.0], [3.0]])
 out2, t2 = conv_forward(block, narrow)
 print("\nsingle-column input is padded to the filter width:")
-print("padded matrix:\n", t2.x_padded)
+print("padded matrix:\n", t2.x_padded[..., 0])
 print("output:", out2)
 
 # The backward pass routes gradient only through each filter's argmax
 # position, and only where the ReLU was active.
 upstream = np.ones(m)
-dfilters, dbias, dx = conv_backward(block, trace, upstream)
+dfilters, dbias = conv_backward(block, trace, upstream)
 print("\ngradient w.r.t. bias (zero where the winning unit was inactive):")
 print(dbias)
-print("gradient w.r.t. the input:")
-print(dx)
+print("gradient w.r.t. the filters:")
+print(dfilters)

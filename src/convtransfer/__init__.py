@@ -8,7 +8,7 @@ Training minimizes a five-term joint objective by fixed-step sub-gradient
 descent.
 """
 
-from .convnet import ConvBlock, ForwardTrace, conv_backward, conv_forward
+from .convnet import ConvBlock, conv_backward, conv_forward
 from .dataset import (
     DataError,
     DataPoint,

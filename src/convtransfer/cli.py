@@ -61,31 +61,18 @@ def _positive_float(v):
 # key -> (parser, default); default REQUIRED means the merged config must set it
 REQUIRED = object()
 
-# One key per TrainConfig field, parsed by the type of its default and
-# validated by TrainConfig itself. The CLI's one override: 200 iterations
-# by default where the library runs 100.
+# One key per field of TrainConfig and of SynthSpec, parsed by the type of
+# its default and validated by the class itself. The CLI's one override:
+# 200 iterations by default where the library runs 100.
 TRAIN_KEYS = {f.name: (type(f.default), f.default) for f in dataclasses.fields(TrainConfig)
               if f.name != "seed"}
 TRAIN_KEYS["max_iters"] = (int, 200)
-
-SYNTH_SPEC_KEYS = {
-    "domains": (_positive_int, 3),
-    "points_per_domain": (_positive_int, 60),
-    "feature_dim": (_positive_int, 6),
-    "attr_dim": (_positive_int, 8),
-    "classes": (_positive_int, 2),
-    "l_min": (_positive_int, 3),
-    "l_max": (_positive_int, 6),
-    # validated by SynthSpec, whose field names these are
-    "margin": (float, 3.0),
-    "shift": (float, 1.0),
-    "noise": (float, 0.5),
-}
+SYNTH_KEYS = {f.name: (type(f.default), f.default) for f in dataclasses.fields(SynthSpec)}
 
 SEED = (_seed, 0)
 
 SCHEMAS = {
-    "synth": {"seed": SEED, **SYNTH_SPEC_KEYS, "out": (str, REQUIRED)},
+    "synth": {"seed": SEED, **SYNTH_KEYS, "out": (str, REQUIRED)},
     # workers is accepted and ignored: training runs in one thread
     "train": {"seed": SEED, "workers": (_positive_int, 1), **TRAIN_KEYS,
               "data": (str, REQUIRED), "model_out": (str, REQUIRED),
@@ -146,29 +133,21 @@ def build_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _synth_spec(cfg: dict) -> SynthSpec:
+def _config(cls, cfg: dict, keys, **extra):
+    """cls built from the config's values of keys; a value that cls rejects
+    is a configuration error."""
     try:
-        return SynthSpec(n_domains=cfg["domains"], points_per_domain=cfg["points_per_domain"],
-                         d=cfg["feature_dim"], a_dim=cfg["attr_dim"], y_dim=cfg["classes"],
-                         l_min=cfg["l_min"], l_max=cfg["l_max"],
-                         margin=cfg["margin"], shift=cfg["shift"], noise=cfg["noise"])
-    except DataError as e:
+        return cls(**{key: cfg[key] for key in keys}, **extra)
+    except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
 def cmd_synth(cfg: dict) -> int:
-    ds = generate_synthetic(_synth_spec(cfg), cfg["seed"])
+    ds = generate_synthetic(_config(SynthSpec, cfg, SYNTH_KEYS), cfg["seed"])
     save_dataset(ds, cfg["out"])
     print(f"wrote {sum(len(d) for d in ds.domains)} points "
           f"({ds.n_domains} domains) to {cfg['out']}")
     return EXIT_OK
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in TRAIN_KEYS})
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -207,7 +186,7 @@ def _report(params, ds) -> dict:
 
 
 def cmd_train(cfg: dict) -> int:
-    tc = _train_config(cfg)
+    tc = _config(TrainConfig, cfg, TRAIN_KEYS, seed=cfg["seed"])
     _check_writable(cfg["model_out"], cfg["curve_out"], cfg["report_out"])
     ds = _load_split(cfg)
     graph = build_neighbor_graph(ds.target_train_points(), tc.knn_k)

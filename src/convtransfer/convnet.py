@@ -59,19 +59,9 @@ class ConvBlock:
 
 
 @dataclass
-class ForwardTrace:
-    """State captured by conv_forward, consumed by conv_backward."""
-
-    pre: np.ndarray      # (m, P) pre-activation map
-    argmax: np.ndarray   # (m,) pooled position per filter, lowest index on ties
-    x_padded: np.ndarray  # input after zero-padding, (d, max(L, w))
-    n_cols: int          # original L before padding
-    output: np.ndarray   # (m,) pooled ReLU activations
-
-
-@dataclass
 class BatchTrace:
-    """State captured by conv_forward_batch, consumed by conv_backward_batch.
+    """State captured by conv_forward_batch, consumed by conv_backward_batch;
+    conv_forward's trace is the one of a one-point batch.
 
     Points run along the last axis, as in pad_columns."""
 
@@ -149,37 +139,28 @@ def conv_backward_batch(block: ConvBlock, trace: BatchTrace,
     return dfilters.transpose(1, 0, 2), dbias
 
 
-def conv_forward(block: ConvBlock, x) -> tuple[np.ndarray, ForwardTrace]:
+def conv_forward(block: ConvBlock, x) -> tuple[np.ndarray, BatchTrace]:
     """Slide each filter over the columns of x; ReLU; max over positions.
 
-    Returns the length-m pooled vector (entries >= 0) and the trace.
+    Returns the length-m pooled vector (entries >= 0) and the trace of x as
+    a one-point batch.
     """
     x = as_matrix(x, "conv input")
-    out, tr = conv_forward_batch(block, x[:, :, None], np.array([x.shape[1]]))
-    trace = ForwardTrace(pre=tr.pre[:, :, 0], argmax=tr.argmax[:, 0],
-                         x_padded=tr.x_padded[:, :, 0], n_cols=x.shape[1], output=out[0])
+    out, trace = conv_forward_batch(block, x[:, :, None], np.array([x.shape[1]]))
     return out[0], trace
 
 
-def conv_backward(block: ConvBlock, trace: ForwardTrace, upstream):
-    """Gradients of (upstream . output) w.r.t. filters, bias, and input.
+def conv_backward(block: ConvBlock, trace: BatchTrace, upstream):
+    """Gradients of (upstream . output) w.r.t. filters and bias, for the
+    trace of conv_forward.
 
     Gradient routes only through each filter's pooled position; a filter whose
     pooled pre-activation is <= 0 contributes nothing (ReLU sub-gradient 0).
-    Returns (dfilters (m,d,w), dbias (m,), dx (d, L_original)).
+    Returns (dfilters (m,d,w), dbias (m,)).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (block.m,):
         raise ValueError(
             f"upstream must have length {block.m}, got shape {upstream.shape}"
         )
-    batch = BatchTrace(pre=trace.pre[:, :, None], argmax=trace.argmax[:, None],
-                       x_padded=trace.x_padded[:, :, None], output=trace.output[None])
-    dfilters, dbias = conv_backward_batch(block, batch, upstream[None])
-    # input gradient: filter j's weights, scaled by its (masked) upstream,
-    # land on the window at its pooled position, filter after filter
-    u = np.where(trace.output > 0.0, upstream, 0.0)
-    dxp = np.zeros_like(trace.x_padded)
-    cols = trace.argmax[:, None] + np.arange(block.w)             # (m, w)
-    np.add.at(dxp.T, cols, (u[:, None, None] * block.filters).transpose(0, 2, 1))
-    return dfilters, dbias, dxp[:, : trace.n_cols]
+    return conv_backward_batch(block, trace, upstream[None])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,6 +107,11 @@ def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str) -> No
 
 
 def validate_dataset(ds: MultiDomainDataset) -> None:
+    for name, key in (("d", "d"), ("a_dim", "A"), ("y_dim", "Y")):
+        v = getattr(ds, name)
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+            raise DataError(f"dimension {name} ({key!r} in the file) must be an integer >= 1, "
+                            f"got {v!r}")
     if ds.n_domains < 1:
         raise DataError("dataset must contain at least one domain")
     for t, dom in enumerate(ds.domains):
@@ -208,11 +213,11 @@ class SynthSpec:
     correlate with labels everywhere.
     """
 
-    n_domains: int = 3
+    domains: int = 3
     points_per_domain: int = 60
-    d: int = 6
-    a_dim: int = 8
-    y_dim: int = 2
+    feature_dim: int = 6
+    attr_dim: int = 8
+    classes: int = 2
     l_min: int = 3
     l_max: int = 6
     margin: float = 3.0
@@ -220,15 +225,15 @@ class SynthSpec:
     noise: float = 0.5
 
     def __post_init__(self):
-        for name in ("n_domains", "points_per_domain", "d", "a_dim", "y_dim", "l_min", "l_max"):
-            if int(getattr(self, name)) < 1:
-                raise DataError(f"synthetic spec field {name} must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, int) and int(v) < 1:
+                raise DataError(f"synthetic spec field {f.name} must be positive")
+            if isinstance(f.default, float) and not 0 <= v < math.inf:
+                raise DataError(f"synthetic spec field {f.name} must be nonnegative and finite, "
+                                f"got {v}")
         if self.l_min > self.l_max:
             raise DataError(f"l_min={self.l_min} exceeds l_max={self.l_max}")
-        for name in ("margin", "shift", "noise"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise DataError(f"synthetic spec field {name} must be nonnegative and finite, "
-                                f"got {getattr(self, name)}")
 
 
 def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:
@@ -237,33 +242,35 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:
     rng = Rng(seed)
     # class prototypes, redrawn until pairwise distances reach the margin
     for _ in range(1000):
-        protos = rng.normal((spec.y_dim, spec.d)) * max(spec.margin, 1e-12)
+        protos = rng.normal((spec.classes, spec.feature_dim)) * max(spec.margin, 1e-12)
         ok = True
-        for c in range(spec.y_dim):
-            for c2 in range(c + 1, spec.y_dim):
-                if np.linalg.norm(protos[c] - protos[c2]) < spec.margin:
+        for c in range(spec.classes):
+            for c2 in range(c + 1, spec.classes):
+                if math.dist(protos[c], protos[c2]) < spec.margin:
                     ok = False
         if ok:
             break
     else:
         raise DataError("could not place class prototypes at the requested margin")
     # class-conditional Bernoulli templates over attributes
-    templates = np.where(rng.uniform(0.0, 1.0, (spec.y_dim, spec.a_dim)) < 0.5, 0.1, 0.9)
-    shifts = rng.uniform(-1.0, 1.0, (spec.n_domains, spec.d)) * spec.shift
+    templates = np.where(rng.uniform(0.0, 1.0, (spec.classes, spec.attr_dim)) < 0.5, 0.1, 0.9)
+    shifts = rng.uniform(-1.0, 1.0, (spec.domains, spec.feature_dim)) * spec.shift
 
     domains: list[list[DataPoint]] = []
-    for t in range(spec.n_domains):
+    for t in range(spec.domains):
         points = []
         for i in range(spec.points_per_domain):
-            c = i % spec.y_dim  # balanced classes
+            c = i % spec.classes  # balanced classes
             length = int(rng.integers(spec.l_min, spec.l_max + 1))
-            cols = protos[c][:, None] + shifts[t][:, None] + spec.noise * rng.normal((spec.d, length))
-            a = (rng.uniform(0.0, 1.0, (spec.a_dim,)) < templates[c]).astype(np.float64)
-            y = np.zeros(spec.y_dim)
+            noise = spec.noise * rng.normal((spec.feature_dim, length))
+            cols = protos[c][:, None] + shifts[t][:, None] + noise
+            a = (rng.uniform(0.0, 1.0, (spec.attr_dim,)) < templates[c]).astype(np.float64)
+            y = np.zeros(spec.classes)
             y[c] = 1.0
             points.append(DataPoint(x=cols, a=a, y=y))
         domains.append(points)
-    return MultiDomainDataset(d=spec.d, a_dim=spec.a_dim, y_dim=spec.y_dim, domains=domains)
+    return MultiDomainDataset(d=spec.feature_dim, a_dim=spec.attr_dim, y_dim=spec.classes,
+                              domains=domains)
 
 
 def save_dataset(ds: MultiDomainDataset, path: str) -> None:

@@ -105,20 +105,14 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return err
 
 
-def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS,
-                   corrupt_block: str | None = None) -> dict[str, float]:
+def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS) -> dict[str, float]:
     """Max relative error between analytic and finite-difference gradients,
-    per parameter block.
-
-    `corrupt_block` flips the sign of one analytic block before comparing;
-    it exists only so tests can prove the check catches wrong gradients.
-    """
+    per parameter block."""
     batch = pack(params, ds, graph)
     gs = value_and_grad(params, batch, cfg)[1]
     errs: dict[str, float] = {}
     for (block, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
-        analytic = -grad if block == corrupt_block else grad
         fd = finite_diff_block(params, batch, cfg, arr, eps)
-        err = float(np.max(relative_error(analytic, fd))) if arr.size else 0.0
+        err = float(np.max(relative_error(grad, fd))) if arr.size else 0.0
         errs[block] = max(errs.get(block, 0.0), err)
     return errs

@@ -75,25 +75,14 @@ class ModelParams:
                 f"expected {d.n_domains} domain blocks/heads, got "
                 f"{len(self.f_dom)} blocks and {len(self.u_dom)} heads"
             )
-        for name, block, m in (
-            [("f_a", self.f_a, d.ma), ("f_0", self.f_0, d.m0)]
-            + [(f"f_dom[{t}]", b, d.mt[t]) for t, b in enumerate(self.f_dom)]
-        ):
-            if block.d != d.d or block.m != m:
-                raise ValueError(
-                    f"{name} has shape (m={block.m}, d={block.d}), expected (m={m}, d={d.d})"
-                )
         self.theta = np.asarray(self.theta, dtype=np.float64)
         self.u0 = np.asarray(self.u0, dtype=np.float64)
         self.ua = np.asarray(self.ua, dtype=np.float64)
         self.u_dom = [np.asarray(u, dtype=np.float64) for u in self.u_dom]
-        checks = [("theta", self.theta, (d.a_dim, d.ma)),
-                  ("u0", self.u0, (d.m0, d.y_dim)),
-                  ("ua", self.ua, (d.ma, d.y_dim))]
-        checks += [(f"u_dom[{t}]", u, (d.mt[t], d.y_dim)) for t, u in enumerate(self.u_dom)]
-        for name, arr, shape in checks:
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        shapes = _shapes(d)
+        for _, key, arr in self.named_tensors():
+            if arr.shape != shapes[key]:
+                raise ValueError(f"{key} has shape {arr.shape}, expected {shapes[key]}")
 
     @property
     def n_domains(self) -> int:
@@ -162,22 +151,33 @@ def classify(params: ModelParams, rep: Representation) -> np.ndarray:
     return head_scores(params, rep.r0, rep.rt, rep.ra, rep.t)
 
 
+def _shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
+    """Each model-file key mapped to its tensor's shape, in the fixed draw
+    order f_a, f_0, per-domain blocks, theta, u0, ua, heads."""
+    blocks = [("f_a", dims.ma), ("f_0", dims.m0)]
+    blocks += [(f"f_dom.{t}", m) for t, m in enumerate(dims.mt)]
+    shapes = {}
+    for name, m in blocks:
+        shapes[f"{name}.filters"] = (m, dims.d, dims.w)
+        shapes[f"{name}.bias"] = (m,)
+    shapes.update(theta=(dims.a_dim, dims.ma), u0=(dims.m0, dims.y_dim), ua=(dims.ma, dims.y_dim))
+    shapes.update({f"u_dom.{t}": (m, dims.y_dim) for t, m in enumerate(dims.mt)})
+    return shapes
+
+
 def _new_params(dims: Dims, draw) -> ModelParams:
     """Parameters of the given dims, each tensor drawn as draw(shape) in the
-    fixed order f_a, f_0, per-domain blocks, theta, u0, ua, heads."""
+    order of _shapes."""
+    tensors = {key: draw(shape) for key, shape in _shapes(dims).items()}
 
-    def block(m):
-        return ConvBlock(filters=draw((m, dims.d, dims.w)), bias=draw((m,)))
+    def block(name):
+        return ConvBlock(filters=tensors[f"{name}.filters"], bias=tensors[f"{name}.bias"])
 
-    f_a = block(dims.ma)
-    f_0 = block(dims.m0)
-    f_dom = [block(m) for m in dims.mt]
-    theta = draw((dims.a_dim, dims.ma))
-    u0 = draw((dims.m0, dims.y_dim))
-    ua = draw((dims.ma, dims.y_dim))
-    u_dom = [draw((m, dims.y_dim)) for m in dims.mt]
-    return ModelParams(dims=dims, f_a=f_a, f_0=f_0, f_dom=f_dom,
-                       theta=theta, u0=u0, ua=ua, u_dom=u_dom)
+    domains = range(dims.n_domains)
+    return ModelParams(dims=dims, f_a=block("f_a"), f_0=block("f_0"),
+                       f_dom=[block(f"f_dom.{t}") for t in domains],
+                       theta=tensors["theta"], u0=tensors["u0"], ua=tensors["ua"],
+                       u_dom=[tensors[f"u_dom.{t}"] for t in domains])
 
 
 def zero_params(dims: Dims) -> ModelParams:

@@ -90,6 +90,13 @@ class TestSynth:
             assert key in capsys.readouterr().err, argv
         assert not (tmp_path / "x.json").exists()
 
+    def test_huge_margin_does_not_overflow(self, tmp_path):
+        # prototype distances are compared without squaring, so a margin
+        # near the float range neither overflows nor passes by overflow
+        with np.errstate(all="raise"):
+            rc = main(["synth", "--out", str(tmp_path / "x.json"), "--set", "margin=1e300"])
+        assert rc == EXIT_OK
+
 
 class TestConfigFile:
     def test_file_values_with_comments(self, tmp_path):
@@ -232,6 +239,18 @@ class TestTrain:
         rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv"))
         assert rc == EXIT_DATA
         assert "domain 0 has no points" in capsys.readouterr().err
+
+    def test_zero_attribute_dimension_is_data_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        doc = json.loads(data.read_text())
+        doc["A"] = 0
+        for dom in doc["domains"]:
+            for p in dom["points"]:
+                p["a"] = []
+        data.write_text(json.dumps(doc))
+        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv"))
+        assert rc == EXIT_DATA
+        assert "'A'" in capsys.readouterr().err
 
     def test_non_object_document_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "list.json"

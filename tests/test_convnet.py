@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,8 +117,8 @@ def test_backward_zero_upstream_gives_zero_gradients():
     block = random_block(rng, 3, 2, 2)
     x = rng.normal((2, 4))
     _, trace = conv_forward(block, x)
-    df, db, dx = conv_backward(block, trace, np.zeros(3))
-    assert not np.any(df) and not np.any(db) and not np.any(dx)
+    df, db = conv_backward(block, trace, np.zeros(3))
+    assert not np.any(df) and not np.any(db)
 
 
 def test_backward_dead_filter_has_zero_gradient():
@@ -125,7 +128,7 @@ def test_backward_dead_filter_has_zero_gradient():
     x = rng.normal((2, 4))
     out, trace = conv_forward(block, x)
     assert out[0] == 0.0
-    df, db, _ = conv_backward(block, trace, np.array([1.0, 1.0]))
+    df, db = conv_backward(block, trace, np.array([1.0, 1.0]))
     assert not np.any(df[0]) and db[0] == 0.0
 
 
@@ -143,7 +146,7 @@ def _smooth_case(rng, m, d, w, L, margin=1e-3):
         x = rng.normal((d, L))
         _, trace = conv_forward(block, x)
         ok = True
-        for row in trace.pre:
+        for row in trace.pre[:, :, 0]:
             top = np.max(row)
             if abs(top) <= margin:
                 ok = False
@@ -166,16 +169,15 @@ def test_backward_matches_finite_differences():
         block, x = _smooth_case(rng, m, d, w, L)
         upstream = rng.normal((m,))
         _, trace = conv_forward(block, x)
-        df, db, dx = conv_backward(block, trace, upstream)
+        df, db = conv_backward(block, trace, upstream)
 
-        def value(filters, bias, xin):
-            out, _ = conv_forward(ConvBlock(filters=filters, bias=bias), xin)
+        def value(filters, bias):
+            out, _ = conv_forward(ConvBlock(filters=filters, bias=bias), x)
             return float(upstream @ out)
 
         for analytic, arr, rebuild in (
-            (df, block.filters, lambda a: value(a, block.bias, x)),
-            (db, block.bias, lambda a: value(block.filters, a, x)),
-            (dx, x, lambda a: value(block.filters, block.bias, a)),
+            (df, block.filters, lambda a: value(a, block.bias)),
+            (db, block.bias, lambda a: value(block.filters, a)),
         ):
             flat = arr.ravel()
             for k in range(flat.size):
@@ -259,8 +261,16 @@ def test_batched_backward_equals_sequential_per_point_sums(case):
     want_f = np.zeros_like(block.filters)
     want_b = np.zeros_like(block.bias)
     for xi, ui in zip(xs, upstream):
-        df, db, _ = conv_backward(block, conv_forward(block, xi)[1], ui)
+        df, db = conv_backward(block, conv_forward(block, xi)[1], ui)
         want_f += df
         want_b += db
     assert dfilters.tobytes() == want_f.tobytes()
     assert dbias.tobytes() == want_b.tobytes()
+
+
+def test_encoder_demo_runs(capsys):
+    # the one demo that reads trace fields and conv_backward's results
+    runpy.run_path(str(Path(__file__).parents[1] / "demos" / "encoder_basics.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "max position per filter" in out and "gradient w.r.t. the filters" in out

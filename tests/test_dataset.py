@@ -60,7 +60,7 @@ class TestSplit:
             split_roles(3, Rng(0))
 
     def test_split_target_tags_in_place(self):
-        ds = generate_synthetic(SynthSpec(n_domains=2, points_per_domain=8), seed=1)
+        ds = generate_synthetic(SynthSpec(domains=2, points_per_domain=8), seed=1)
         tags = split_target(ds, seed=5)
         assert [p.role for p in ds.target] == tags
         assert all(p.role is None for p in ds.domains[0])
@@ -108,7 +108,7 @@ class TestNeighborGraph:
 
 class TestSynthetic:
     def test_deterministic(self):
-        spec = SynthSpec(n_domains=2, points_per_domain=6)
+        spec = SynthSpec(domains=2, points_per_domain=6)
         a = generate_synthetic(spec, seed=3)
         b = generate_synthetic(spec, seed=3)
         for dom_a, dom_b in zip(a.domains, b.domains):
@@ -118,7 +118,7 @@ class TestSynthetic:
                 assert np.array_equal(pa.y, pb.y)
 
     def test_degenerate_spec_makes_domains_identical_per_class(self):
-        spec = SynthSpec(n_domains=3, points_per_domain=4, shift=0.0, noise=0.0,
+        spec = SynthSpec(domains=3, points_per_domain=4, shift=0.0, noise=0.0,
                          l_min=3, l_max=3)
         ds = generate_synthetic(spec, seed=9)
         for i in range(4):
@@ -126,7 +126,7 @@ class TestSynthetic:
             assert np.array_equal(ds.domains[1][i].x, ds.domains[2][i].x)
 
     def test_large_margin_small_noise_nearest_prototype_accuracy(self):
-        spec = SynthSpec(n_domains=2, points_per_domain=40, margin=4.0,
+        spec = SynthSpec(domains=2, points_per_domain=40, margin=4.0,
                          shift=0.0, noise=0.1)
         ds = generate_synthetic(spec, seed=11)
         # nearest class-centroid oracle, centroids estimated in-domain
@@ -143,7 +143,7 @@ class TestSynthetic:
             assert correct / len(dom) > 0.95
 
     def test_shape_correct(self):
-        spec = SynthSpec(n_domains=4, points_per_domain=5, d=3, a_dim=6, y_dim=3,
+        spec = SynthSpec(domains=4, points_per_domain=5, feature_dim=3, attr_dim=6, classes=3,
                          l_min=2, l_max=4)
         ds = generate_synthetic(spec, seed=13)
         assert ds.n_domains == 4
@@ -156,7 +156,7 @@ class TestSynthetic:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        ds = generate_synthetic(SynthSpec(n_domains=2, points_per_domain=5), seed=7)
+        ds = generate_synthetic(SynthSpec(domains=2, points_per_domain=5), seed=7)
         split_target(ds, seed=2)
         path = str(tmp_path / "data.json")
         save_dataset(ds, path)
@@ -170,7 +170,7 @@ class TestSerialization:
                 assert pa.role == pb.role
 
     def test_non_binary_attribute_rejected_with_location(self, tmp_path):
-        ds = generate_synthetic(SynthSpec(n_domains=2, points_per_domain=4), seed=1)
+        ds = generate_synthetic(SynthSpec(domains=2, points_per_domain=4), seed=1)
         path = str(tmp_path / "bad.json")
         save_dataset(ds, path)
         doc = json.loads(open(path).read())

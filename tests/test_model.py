@@ -1,8 +1,15 @@
+import dataclasses
 import json
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convtransfer import model
 from convtransfer.convnet import ConvBlock, conv_forward
 from convtransfer.dataset import DataError
 from convtransfer.model import (
@@ -176,3 +183,53 @@ def test_params_shape_validation():
             ua=np.zeros((2, 2)),
             u_dom=[np.zeros((2, 2)), np.zeros((3, 2))],
         )
+
+
+@st.composite
+def random_dims(draw):
+    """Dims of 1 to 3 domains, every size from 1 to 4 and a window of 1 to 3."""
+    size = st.integers(1, 4)
+    n_domains = draw(st.integers(1, 3))
+    return Dims(d=draw(size), a_dim=draw(size), y_dim=draw(size), m0=draw(size), ma=draw(size),
+                mt=tuple(draw(st.lists(size, min_size=n_domains, max_size=n_domains))),
+                w=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_dims(), st.integers(0, 2**32))
+def test_random_dims_round_trip_bit_exact(dims, seed):
+    params = init_params(dims, Rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_params(params, path)
+        loaded = load_params(path)
+    assert loaded.dims == dims
+    assert ([(key, arr.shape, arr.tobytes()) for _, key, arr in loaded.named_tensors()]
+            == [(key, arr.shape, arr.tobytes()) for _, key, arr in params.named_tensors()])
+
+
+def put_tensor(params, key, arr):
+    """Put arr where the tensor of the given model-file key sits, past
+    ConvBlock's own checks."""
+    name, _, last = key.rpartition(".")
+    if last in ("filters", "bias"):
+        block = params.f_dom[int(name[6:])] if name.startswith("f_dom.") else getattr(params, name)
+        setattr(block, last, arr)
+    elif name == "u_dom":
+        params.u_dom[int(last)] = arr
+    else:
+        setattr(params, key, arr)
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_dims())
+def test_params_reject_every_tensor_with_one_dimension_off(dims):
+    dataclasses.replace(model.zero_params(dims))  # the right shapes pass
+    for _, key, arr in model.zero_params(dims).named_tensors():
+        for axis in range(arr.ndim):
+            shape = list(arr.shape)
+            shape[axis] += 1
+            params = model.zero_params(dims)
+            put_tensor(params, key, np.zeros(shape))
+            with pytest.raises(ValueError, match=re.escape(key)):
+                dataclasses.replace(params)  # reruns ModelParams' checks

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convtransfer import gradcheck
 from convtransfer.convnet import ConvBlock
 from convtransfer.dataset import (
     ROLE_TEST,
@@ -325,9 +326,18 @@ class TestGradient:
         b = np.array([1.0, 1.0, np.inf, 0.0, 3.0])
         assert relative_error(a, b).tolist() == [0.0, np.inf, np.inf, 0.0, 2.0 / 3.0]
 
-    def test_corrupted_block_is_caught(self):
+    def test_corrupted_block_is_caught(self, monkeypatch):
         parts = random_smooth_instance(123, points_per_domain=2, n_domains=2, d=4, m=3)
-        errs = gradient_check(*parts, corrupt_block="theta")
+        exact = gradcheck.value_and_grad
+
+        def theta_negated(*args, **kwargs):
+            value, grads = exact(*args, **kwargs)
+            if grads is not None:
+                grads.theta *= -1.0
+            return value, grads
+
+        monkeypatch.setattr(gradcheck, "value_and_grad", theta_negated)
+        errs = gradient_check(*parts)
         assert errs["theta"] > 1e-4
         others = {k: v for k, v in errs.items() if k != "theta"}
         assert max(others.values()) < 1e-4

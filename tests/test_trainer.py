@@ -26,8 +26,8 @@ from convtransfer.objective import (
 
 
 def small_instance(seed, n_domains=2, points=8, noise=0.5):
-    spec = SynthSpec(n_domains=n_domains, points_per_domain=points,
-                     d=4, a_dim=5, y_dim=2, l_min=3, l_max=5, noise=noise)
+    spec = SynthSpec(domains=n_domains, points_per_domain=points,
+                     feature_dim=4, attr_dim=5, classes=2, l_min=3, l_max=5, noise=noise)
     ds = generate_synthetic(spec, seed=seed)
     split_target(ds, seed=seed)
     graph = build_neighbor_graph(ds.target_train_points(), 1)
@@ -153,8 +153,8 @@ class TestEvaluateAndView:
         assert 0 < len(labeled) < len(ds.target)
 
     def test_training_view_identity_without_roles(self):
-        spec = SynthSpec(n_domains=2, points_per_domain=6, d=4, a_dim=5,
-                         y_dim=2, l_min=3, l_max=4)
+        spec = SynthSpec(domains=2, points_per_domain=6, feature_dim=4, attr_dim=5,
+                         classes=2, l_min=3, l_max=4)
         ds = generate_synthetic(spec, seed=7)
         assert training_view(ds) is ds
 
@@ -176,8 +176,8 @@ class TestTrajectoryCsv:
             assert float(cells[7]) == row.accuracy
 
     def test_accuracy_nan_without_test_points(self, tmp_path):
-        spec = SynthSpec(n_domains=2, points_per_domain=6, d=4, a_dim=5,
-                         y_dim=2, l_min=3, l_max=4)
+        spec = SynthSpec(domains=2, points_per_domain=6, feature_dim=4, attr_dim=5,
+                         classes=2, l_min=3, l_max=4)
         ds = generate_synthetic(spec, seed=3)  # no roles assigned
         _, rows = train(ds, None, TrainConfig(tau=1e-5, max_iters=1,
                                               seed=3, c3=0.0))
