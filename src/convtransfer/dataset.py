@@ -91,16 +91,16 @@ def training_view(ds: MultiDomainDataset) -> MultiDomainDataset:
 def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str) -> None:
     if p.x.ndim != 2 or p.x.shape[0] != d or p.x.shape[1] < 1:
         raise DataError(f"{where}: x must be {d}xL with L >= 1, got shape {p.x.shape}")
-    if not np.all(np.isfinite(p.x)):
+    if not np.isfinite(p.x).all():
         raise DataError(f"{where}: x contains non-finite entries")
     if p.a.shape != (a_dim,):
         raise DataError(f"{where}: attribute vector has shape {p.a.shape}, expected ({a_dim},)")
-    if not np.all((p.a == 0.0) | (p.a == 1.0)):
+    if not ((p.a == 0.0) | (p.a == 1.0)).all():
         raise DataError(f"{where}: attribute vector entries must be 0/1, got {p.a.tolist()}")
     if p.y is not None:
         if p.y.shape != (y_dim,):
             raise DataError(f"{where}: label has shape {p.y.shape}, expected ({y_dim},)")
-        if not (np.all((p.y == 0.0) | (p.y == 1.0)) and np.sum(p.y) == 1.0):
+        if not (((p.y == 0.0) | (p.y == 1.0)).all() and p.y.sum() == 1.0):
             raise DataError(f"{where}: label must be one-hot, got {p.y.tolist()}")
     if p.role is not None and p.role not in ROLES:
         raise DataError(f"{where}: unknown role {p.role!r}")

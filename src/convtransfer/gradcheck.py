@@ -14,7 +14,7 @@ import numpy as np
 from .dataset import DataPoint, MultiDomainDataset, build_neighbor_graph
 from .model import Dims, ModelParams, init_params
 from .numeric import Rng
-from .objective import Batch, TrainConfig, forward, pack, value_and_grad
+from .objective import Batch, Forward, TrainConfig, forward, pack, value_and_grad
 
 KINK_MARGIN = 1e-3
 DEFAULT_EPS = 1e-5
@@ -76,18 +76,25 @@ def random_smooth_instance(seed: int, n_domains: int = 3, points_per_domain: int
     raise RuntimeError(f"no smooth instance found in {MAX_TRIES} tries for seed {seed}")
 
 
-def finite_diff_block(params, batch: Batch, cfg, arr: np.ndarray, eps: float) -> np.ndarray:
-    """Central finite differences of the weighted total w.r.t. one tensor,
-    on a packed dataset (objective.pack)."""
+def finite_diff_block(params, batch: Batch, base: Forward, cfg, block: str,
+                      arr: np.ndarray, eps: float) -> np.ndarray:
+    """Central finite differences of the weighted total w.r.t. one tensor of
+    `block`, on a packed dataset (objective.pack) whose Forward at params is
+    `base`; each perturbed value re-runs only the encoder `block` drives."""
+
+    def total():
+        f = forward(params, batch, base, (block,))
+        return value_and_grad(params, batch, f, cfg, ())[0].total
+
     fd = np.zeros_like(arr)
     flat = arr.ravel()
     fd_flat = fd.ravel()
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + eps
-        hi = value_and_grad(params, batch, cfg, with_grad=False)[0].total
+        hi = total()
         flat[k] = orig - eps
-        lo = value_and_grad(params, batch, cfg, with_grad=False)[0].total
+        lo = total()
         flat[k] = orig
         fd_flat[k] = (hi - lo) / (2.0 * eps)
     return fd
@@ -109,10 +116,11 @@ def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS) -> dict[str
     """Max relative error between analytic and finite-difference gradients,
     per parameter block."""
     batch = pack(params, ds, graph)
-    gs = value_and_grad(params, batch, cfg)[1]
+    base = forward(params, batch)
+    gs = value_and_grad(params, batch, base, cfg, params.blocks())[1]
     errs: dict[str, float] = {}
     for (block, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
-        fd = finite_diff_block(params, batch, cfg, arr, eps)
+        fd = finite_diff_block(params, batch, base, cfg, block, arr, eps)
         err = float(np.max(relative_error(grad, fd))) if arr.size else 0.0
         errs[block] = max(errs.get(block, 0.0), err)
     return errs

@@ -105,6 +105,10 @@ class ModelParams:
         out.append(("u_a", "ua", self.ua))
         return out
 
+    def blocks(self) -> tuple[str, ...]:
+        """The block names of named_tensors(), each once, in its order."""
+        return tuple(dict.fromkeys(block for block, _, _ in self.named_tensors()))
+
 
 @dataclass
 class Representation:

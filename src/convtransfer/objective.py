@@ -14,9 +14,12 @@ The objective sees every point of the dataset it is given, labels
 included, so callers pass dataset.training_view(ds); a target that still
 holds test points or labeled train-unlabeled points is rejected.
 
-Every entry point packs its points once (pack, Batch); value_and_grad then
-runs the batched encoders once per call and serves the objective, the
-sub-gradient and, in train, the trajectory row from that one forward pass.
+Every entry point packs its points once (pack, Batch); forward runs the
+batched encoders, and value_and_grad serves the objective, the sub-gradient
+and, in train, the trajectory row from that one forward pass. After a change
+to one parameter block, forward re-runs only the encoder that block drives,
+so block-cyclic steps and finite differences reuse the other encoders'
+outputs.
 Sub-gradients are exact (ReLU sub-gradient 0 at 0, pooling ties to the
 lowest index) and accumulated in (domain, point) order so runs reproduce
 bit-for-bit.
@@ -25,11 +28,12 @@ bit-for-bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .convnet import BatchTrace, conv_backward_batch, conv_forward_batch, pad_columns
+from .convnet import BatchTrace, ConvBlock, conv_backward_batch, conv_forward_batch, pad_columns
 from .dataset import ROLE_TEST, DataError, DataPoint, MultiDomainDataset, NeighborGraph, training_view
 from .model import Dims, ModelParams, head_scores, init_params, zero_params
 # not called here: represent stays importable from this module, whose
@@ -151,78 +155,101 @@ def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | Non
 
 @dataclass
 class Forward:
-    """Branch outputs, traces and head scores of every point of a Batch."""
+    """Encoder outputs, traces and head scores of every point of a Batch, one
+    output and trace per branch, in _branches order."""
 
-    r0: np.ndarray              # (n, m0)
-    ra: np.ndarray              # (n, ma)
-    rt: list[np.ndarray]        # per segment, (rows, m_t)
-    traces: list[BatchTrace]    # f_0, f_a, then f_t per segment
+    outputs: list[np.ndarray]   # per branch, (rows, m)
+    traces: list[BatchTrace]    # per branch
     scores: np.ndarray          # (n, Y)
 
 
-def forward(params: ModelParams, b: Batch) -> Forward:
-    """Run the encoders over a Batch: f_0 and f_a once over all points, each
-    f_t once over its segment; then the heads."""
-    r0, tr0 = conv_forward_batch(params.f_0, b.x, b.lengths)
-    ra, tra = conv_forward_batch(params.f_a, b.x, b.lengths)
-    rt, traces = [], [tr0, tra]
-    scores = np.empty((len(r0), params.dims.y_dim))
-    for t, rows in b.segments:
-        out, tr = conv_forward_batch(params.f_dom[t], b.x[:, :, rows], b.lengths[rows])
-        rt.append(out)
+def _branches(params: ModelParams, b: Batch) -> list[tuple[str, ConvBlock, np.ndarray, slice]]:
+    """Each branch run over a Batch as (suffix, encoder, head, rows): "0"
+    (f_0, u_0) and "a" (f_a, u_a) over every row, then "t" (f_t, u_t, with t
+    from 1 as in named_tensors()) over each domain segment. Prefixing the
+    suffix with "f_" or "u_" gives the encoder's or the head's block name."""
+    every = slice(None)
+    return [("0", params.f_0, params.u0, every), ("a", params.f_a, params.ua, every),
+            *((str(t + 1), params.f_dom[t], params.u_dom[t], rows) for t, rows in b.segments)]
+
+
+def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
+            changed: Collection[str] = ()) -> Forward:
+    """Run the encoders over a Batch, f_0 and f_a once over all points and
+    each f_t once over its segment; then the heads.
+
+    `prev` is a Forward of the same Batch under parameters that differ from
+    params only in the blocks named in `changed` (named_tensors() block
+    names). Then only the encoders of those blocks run again (none for a head
+    block), and the head scores are recomputed; the result equals a fresh
+    forward bit for bit, and prev is left as it was.
+    """
+    outputs, traces = [], []
+    for k, (s, enc, _, rows) in enumerate(_branches(params, b)):
+        if prev is None or "f_" + s in changed:
+            out, tr = conv_forward_batch(enc, b.x[:, :, rows], b.lengths[rows])
+        else:
+            out, tr = prev.outputs[k], prev.traces[k]
+        outputs.append(out)
         traces.append(tr)
+    r0, ra, *rt = outputs
+    scores = np.empty((len(r0), params.dims.y_dim))
+    for (t, rows), out in zip(b.segments, rt):
         scores[rows] = head_scores(params, r0[rows], out, ra[rows], t)
-    return Forward(r0=r0, ra=ra, rt=rt, traces=traces, scores=scores)
+    return Forward(outputs=outputs, traces=traces, scores=scores)
 
 
-def value_and_grad(params: ModelParams, b: Batch, cfg: TrainConfig,
-                   with_grad: bool = True) -> tuple[ObjectiveBreakdown, ModelParams | None]:
-    """The objective breakdown of a packed dataset (see pack) and, unless
-    with_grad is False, its exact sub-gradient, both from one forward pass.
+def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
+                   grad: Collection[str]) -> tuple[ObjectiveBreakdown, ModelParams | None]:
+    """The objective breakdown of a packed dataset (see pack) from its
+    Forward f under params, and the exact sub-gradient of the blocks named in
+    `grad`: params.blocks() for all of them, () for none (the gradient is then
+    None). Blocks outside `grad` are zero in the returned gradient, and only
+    the encoders of blocks in it run backward.
 
     Per-point upstream gradients add their terms in a fixed order
     (classification, attribute map, domain matching, neighbors), and the
     encoder gradients sum over points in (domain, point) order.
     """
-    f = forward(params, b)
     T = params.n_domains
     tgt = b.segments[-1][1]
+    r0, ra, *rt = f.outputs
     err = np.where(b.labeled[:, None], f.scores - b.y, 0.0)
     sq = np.einsum("ij,ij->i", err, err)
     aux, tgt_cls = float(sq[:tgt.start].sum()), float(sq[tgt].sum())
-    g_attr = f.ra - b.a @ params.theta
+    g_attr = ra - b.a @ params.theta
     attr = float(np.einsum("ij,ij->", g_attr, g_attr))
-    means = [f.r0[rows].mean(axis=0) for _, rows in b.segments]
+    means = [r0[rows].mean(axis=0) for _, rows in b.segments]
     dom = sum((float((means[t] - means[t2]) @ (means[t] - means[t2]))
                for t in range(T) for t2 in range(t + 1, T)), 0.0)
     nb = 0.0
     if b.edges is not None:
         src, dst = b.edges
-        feats = np.concatenate([f.r0[tgt], f.rt[-1], f.ra[tgt]], axis=1)
+        feats = np.concatenate([r0[tgt], rt[-1], ra[tgt]], axis=1)
         diff = feats[src] - feats[dst]  # adjacency is symmetric: both orders
         nb = float(np.einsum("ij,ij->", diff, diff))
     total = aux + tgt_cls + cfg.c1 * attr + cfg.c2 * dom + cfg.c3 * nb
     bd = ObjectiveBreakdown(aux_cls=aux, tgt_cls=tgt_cls, attr_map=attr,
                             dom_match=dom, neighbor=nb, total=total)
-    if not with_grad:
+    if not grad:
         return bd, None
 
     gs = zero_params(params.dims)
+    branches, grad_branches = _branches(params, b), _branches(gs, b)
     # classification terms; unlabeled rows of gsc are zero
     gsc = 2.0 * err
-    gs.u0 += f.r0.T @ gsc
-    gs.ua += f.ra.T @ gsc
-    up0 = gsc @ params.u0.T
-    upa = gsc @ params.ua.T
-    upt = []
-    for (t, rows), rt in zip(b.segments, f.rt):
-        gs.u_dom[t] += rt.T @ gsc[rows]
-        upt.append(gsc[rows] @ params.u_dom[t].T)
+    ups = []
+    for (s, _, head, rows), (_, _, grad_head, _), out in zip(branches, grad_branches, f.outputs):
+        if "u_" + s in grad:
+            grad_head += out.T @ gsc[rows]
+        ups.append(gsc[rows] @ head.T)
+    up0, upa = ups[:2]
 
     # attribute-map term (weight c1)
     if cfg.c1 != 0.0:
         upa += 2.0 * cfg.c1 * g_attr
-        gs.theta += -2.0 * cfg.c1 * (b.a.T @ g_attr)
+        if "theta" in grad:
+            gs.theta += -2.0 * cfg.c1 * (b.a.T @ g_attr)
 
     # domain mean-matching term (weight c2)
     if cfg.c2 != 0.0 and T > 1:
@@ -237,16 +264,16 @@ def value_and_grad(params: ModelParams, b: Batch, cfg: TrainConfig,
         dfeat *= 4.0 * cfg.c3
         m0, mt = params.dims.m0, params.dims.mt[T - 1]
         up0[tgt] += dfeat[:, :m0]
-        upt[-1] += dfeat[:, m0:m0 + mt]
+        ups[-1] += dfeat[:, m0:m0 + mt]
         upa[tgt] += dfeat[:, m0 + mt:]
 
-    # backward through the encoders
-    encoders = [(params.f_0, gs.f_0, up0), (params.f_a, gs.f_a, upa)]
-    encoders += [(params.f_dom[t], gs.f_dom[t], up) for (t, _), up in zip(b.segments, upt)]
-    for (block, grad, upstream), trace in zip(encoders, f.traces):
-        df, db = conv_backward_batch(block, trace, upstream)
-        grad.filters += df
-        grad.bias += db
+    # backward through the encoders of the asked-for blocks
+    for (s, enc, _, _), (_, grad_enc, _, _), trace, up in zip(branches, grad_branches,
+                                                           f.traces, ups):
+        if "f_" + s in grad:
+            df, db = conv_backward_batch(enc, trace, up)
+            grad_enc.filters += df
+            grad_enc.bias += db
     return bd, gs
 
 
@@ -256,14 +283,16 @@ def objective(params: ModelParams, ds: MultiDomainDataset,
 
     Every labeled point counts; `graph` has one node per target point.
     """
-    return value_and_grad(params, pack(params, ds, graph), cfg, with_grad=False)[0]
+    b = pack(params, ds, graph)
+    return value_and_grad(params, b, forward(params, b), cfg, ())[0]
 
 
 def gradient(params: ModelParams, ds: MultiDomainDataset,
              graph: NeighborGraph | None, cfg: TrainConfig) -> ModelParams:
     """Exact sub-gradient of the weighted total w.r.t. every parameter, as a
     ModelParams of the same dims."""
-    return value_and_grad(params, pack(params, ds, graph), cfg)[1]
+    b = pack(params, ds, graph)
+    return value_and_grad(params, b, forward(params, b), cfg, params.blocks())[1]
 
 
 def neighbor_loss(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph) -> float:
@@ -320,11 +349,12 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
 
     `graph` has one node per point of ds.target_train_points(). `joint` mode
     takes one full-gradient step per iteration; `block-cyclic` sweeps the
-    parameter blocks in their fixed order, recomputing the gradient before
-    each block step. The trajectory records the breakdown after every
-    iteration (row 0 is the initial state) and stops early once the relative
-    change of the total drops below 1e-6. Each row's breakdown comes from
-    the forward pass that also yields the next iteration's first gradient.
+    parameter blocks in their fixed order, computing that block's gradient
+    before each block step and re-running only the encoder it drives after.
+    The trajectory records the breakdown after every iteration (row 0 is the
+    initial state) and stops early once the relative change of the total
+    drops below 1e-6. Each row's breakdown comes from the forward pass that
+    also yields the next iteration's first gradient.
     """
     T = ds.n_domains
     view = training_view(ds)
@@ -339,26 +369,28 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     test_batch = _eval_batch(params, test_points, T - 1) if test_points else None
     # joint mode steps every block at once; block-cyclic steps one block per
     # gradient, in named_tensors() order
-    sweep = [None] if cfg.update_mode == "joint" else \
-        list(dict.fromkeys(block for block, _, _ in params.named_tensors()))
+    blocks = params.blocks()
+    sweep = [blocks] if cfg.update_mode == "joint" else [(block,) for block in blocks]
 
     def test_acc():
         return _accuracy(params, test_batch) if test_batch else math.nan
 
-    bd, gs = value_and_grad(params, batch, cfg)
+    f = forward(params, batch)
+    bd, gs = value_and_grad(params, batch, f, cfg, sweep[0])
     if not math.isfinite(bd.total):
         raise DivergenceError(0)
     rows = [TrajectoryRow(0, bd, test_acc())]
     prev_total = bd.total
 
     for it in range(1, cfg.max_iters + 1):
-        for k, step_block in enumerate(sweep):
+        for k, step in enumerate(sweep):
             if k:
-                gs = value_and_grad(params, batch, cfg)[1]
+                gs = value_and_grad(params, batch, f, cfg, step)[1]
             for (block, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
-                if step_block in (None, block):
+                if block in step:
                     arr -= cfg.tau * grad
-        bd, gs = value_and_grad(params, batch, cfg, with_grad=it < cfg.max_iters)
+            f = forward(params, batch, f, step)
+        bd, gs = value_and_grad(params, batch, f, cfg, sweep[0] if it < cfg.max_iters else ())
         if not math.isfinite(bd.total):
             raise DivergenceError(it)
         rows.append(TrajectoryRow(it, bd, test_acc()))

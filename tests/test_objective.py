@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,17 @@ from convtransfer.model import Dims, ModelParams, classify, init_params, represe
 from convtransfer.numeric import Rng
 from convtransfer.objective import (
     TrainConfig,
+    forward,
     gradient,
     neighbor_loss,
     objective,
+    pack,
+    train,
+    value_and_grad,
 )
+
+# the package re-exports the function objective under the module's name
+objective_module = importlib.import_module("convtransfer.objective")
 
 DIMS = Dims(d=3, a_dim=2, y_dim=2, m0=2, ma=2, mt=(2, 2), w=2)
 
@@ -357,3 +366,130 @@ def test_parameter_blocks_order():
     assert blocks == ["f_0", "f_1", "f_2", "f_a", "theta", "u_0", "u_1", "u_2", "u_a"]
     assert [block for block, _, _ in named] == sorted(
         (block for block, _, _ in named), key=blocks.index)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _smooth_batch():
+    params, ds, graph, cfg = random_smooth_instance(3, points_per_domain=2, n_domains=2, d=4, m=3)
+    return params, pack(params, ds, graph), cfg
+
+
+BLOCKS = make_params().blocks()
+
+
+class TestReuse:
+    """A one-block change re-runs only the encoder that block drives; every
+    result equals the full recompute bit for bit."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_refreshed_forward_equals_fresh_forward(self, block):
+        params, b, _ = _smooth_batch()
+        base = forward(params, b)
+        base_scores = base.scores.copy()
+        for name, _, arr in params.named_tensors():
+            if name == block:
+                arr += 0.05 * Rng(1).normal(arr.shape)
+        got, want = forward(params, b, base, (block,)), forward(params, b)
+        for g, w in zip(got.outputs, want.outputs, strict=True):
+            assert _same_bits(g, w)
+        for g, w in zip(got.traces, want.traces, strict=True):
+            for field in ("pre", "argmax", "x_padded", "output"):
+                assert _same_bits(getattr(g, field), getattr(w, field)), field
+        assert _same_bits(got.scores, want.scores)
+        assert _same_bits(base.scores, base_scores)  # prev is left as it was
+        if block != "theta":  # theta enters no score
+            assert not np.array_equal(got.scores, base.scores)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_one_block_gradient_is_that_block_of_the_full_gradient(self, block):
+        params, b, cfg = _smooth_batch()
+        f = forward(params, b)
+        full_bd, full = value_and_grad(params, b, f, cfg, params.blocks())
+        bd, one = value_and_grad(params, b, f, cfg, (block,))
+        assert bd == full_bd
+        for (name, key, g_full), (_, _, g_one) in zip(full.named_tensors(), one.named_tensors()):
+            if name == block:
+                assert np.any(g_full), key
+                assert _same_bits(g_one, g_full), key
+            else:
+                assert not np.any(g_one), key
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_finite_diff_block_equals_fresh_forward_differences(self, block):
+        params, b, cfg = _smooth_batch()
+        base = forward(params, b)
+        eps = gradcheck.DEFAULT_EPS
+
+        def fresh_total():
+            return value_and_grad(params, b, forward(params, b), cfg, ())[0].total
+
+        for name, key, arr in params.named_tensors():
+            if name != block:
+                continue
+            got = finite_diff_block(params, b, base, cfg, block, arr, eps)
+            want = np.zeros_like(arr)
+            for k in range(arr.size):
+                orig = arr.flat[k]
+                arr.flat[k] = orig + eps
+                hi = fresh_total()
+                arr.flat[k] = orig - eps
+                lo = fresh_total()
+                arr.flat[k] = orig
+                want.flat[k] = (hi - lo) / (2.0 * eps)
+            assert _same_bits(got, want), key
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the batched encoder kernels called through objective."""
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(objective_module, "conv_forward_batch",
+                        counted("forward", objective_module.conv_forward_batch))
+    monkeypatch.setattr(objective_module, "conv_backward_batch",
+                        counted("backward", objective_module.conv_backward_batch))
+    return calls
+
+
+class TestKernelCalls:
+    """Exact kernel call counts: a timing-free guard on the encoder reuse."""
+
+    def test_gradient_check_runs_no_encoder_for_head_entries(self, kernel_calls):
+        params, ds, graph, cfg = random_smooth_instance(0)  # the CLI's instance shape
+        kernel_calls.update(forward=0, backward=0)
+        gradient_check(params, ds, graph, cfg)
+        T = params.n_domains
+        encoder_entries = sum(arr.size for block, _, arr in params.named_tensors()
+                              if block.startswith("f_"))
+        # one forward of the T + 2 encoders, then one encoder per perturbed
+        # value of an encoder entry (two per entry) and none for a head entry
+        assert kernel_calls["forward"] == (T + 2) + 2 * encoder_entries == 525
+        assert kernel_calls["backward"] == T + 2
+
+    @pytest.mark.parametrize("mode", ["joint", "block-cyclic"])
+    def test_training_runs_each_encoder_once_per_iteration(self, kernel_calls, mode):
+        # no roles, so no test points: every kernel call is over the training batch
+        rng = Rng(30)
+        domains = [[DataPoint(x=rng.normal((3, 4)), a=np.zeros(2), y=np.eye(2)[i % 2])
+                    for i in range(4)] for _ in range(3)]
+        ds = MultiDomainDataset(d=3, a_dim=2, y_dim=2, domains=domains)
+        graph = build_neighbor_graph(ds.target, 1)
+        counts = []
+        for iters in (2, 3):
+            kernel_calls.update(forward=0, backward=0)
+            cfg = TrainConfig(tau=1e-4, max_iters=iters, update_mode=mode)
+            _, rows = train(ds, graph, cfg)
+            assert len(rows) == iters + 1
+            counts.append(dict(kernel_calls))
+        T = ds.n_domains
+        assert counts[1]["forward"] - counts[0]["forward"] == T + 2
+        assert counts[1]["backward"] - counts[0]["backward"] == T + 2

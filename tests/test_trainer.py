@@ -1,6 +1,7 @@
 """Tests for the sub-gradient training loop and trajectory reporting."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from convtransfer.dataset import (
     split_target,
     training_view,
 )
-from convtransfer.model import Dims, zero_params
+from convtransfer.model import Dims, init_params, zero_params
+from convtransfer.numeric import Rng
 from convtransfer.objective import (
     CSV_HEADER,
     DivergenceError,
     TrainConfig,
     evaluate,
+    gradient,
     objective,
     train,
     write_trajectory_csv,
@@ -98,6 +101,43 @@ class TestTrainLoop:
             p.role = ROLE_TEST
         with pytest.raises(ValueError):
             train(ds, graph, TrainConfig(tau=1e-4, max_iters=1, seed=0))
+
+
+def reference_block_cyclic(ds, graph, cfg):
+    """Block-cyclic descent that recomputes the full forward and the full
+    gradient before every block step; returns the parameters and, per
+    iteration, the breakdown and the target test accuracy."""
+    view, T = training_view(ds), ds.n_domains
+    dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=cfg.m0, ma=cfg.ma,
+                mt=(cfg.mt,) * T, w=cfg.w)
+    params = init_params(dims, Rng(cfg.seed), cfg.init_range)
+
+    def row():
+        return objective(params, view, graph, cfg), evaluate(params, ds.target_points(ROLE_TEST),
+                                                             T - 1)
+
+    rows = [row()]
+    for _ in range(cfg.max_iters):
+        for block in params.blocks():
+            gs = gradient(params, view, graph, cfg)
+            for (name, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
+                if name == block:
+                    arr -= cfg.tau * grad
+        rows.append(row())
+    return params, rows
+
+
+@pytest.mark.parametrize("n_domains", [1, 2])
+def test_block_cyclic_matches_full_recompute_reference(n_domains):
+    ds, graph = small_instance(7, n_domains=n_domains)
+    cfg = TrainConfig(tau=1e-3, max_iters=3, seed=7, update_mode="block-cyclic")
+    params, rows = train(ds, graph, cfg)
+    want_params, want_rows = reference_block_cyclic(ds, graph, cfg)
+    for (_, key, got), (_, _, want) in zip(params.named_tensors(), want_params.named_tensors()):
+        assert got.tobytes() == want.tobytes(), key
+    assert len(rows) == len(want_rows) == cfg.max_iters + 1
+    for r, (bd, acc) in zip(rows, want_rows):
+        assert repr((astuple(r.breakdown), r.accuracy)) == repr((astuple(bd), acc)), r.iteration
 
 
 class TestDeterminism:
