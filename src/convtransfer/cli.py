@@ -179,10 +179,15 @@ def _report(params, ds) -> dict:
     per_domain = {}
     for t in range(T - 1):
         per_domain[f"domain_{t + 1}"] = evaluate(params, ds.domains[t], t)
+    # without test points there is no test accuracy: training points never stand in
     test_points = ds.target_points(ROLE_TEST)
-    tgt = evaluate(params, test_points or ds.target, T - 1)
+    tgt = evaluate(params, test_points, T - 1) if test_points else None
     per_domain[f"domain_{T}_target_test"] = tgt
     return {"per_domain_accuracy": per_domain, "target_test_accuracy": tgt}
+
+
+def _accuracy_text(acc: float | None) -> str:
+    return "n/a" if acc is None else f"{acc:.4f}"
 
 
 def cmd_train(cfg: dict) -> int:
@@ -203,7 +208,7 @@ def cmd_train(cfg: dict) -> int:
             f.write("\n")
     print(f"trained {report['iterations']} iterations; "
           f"final total {final.total!r}; "
-          f"target test accuracy {report['target_test_accuracy']:.4f}")
+          f"target test accuracy {_accuracy_text(report['target_test_accuracy'])}")
     return EXIT_OK
 
 
@@ -218,7 +223,7 @@ def cmd_eval(cfg: dict) -> int:
             json.dump(report, f, indent=1, sort_keys=True)
             f.write("\n")
     for name, acc in report["per_domain_accuracy"].items():
-        print(f"{name}: accuracy {acc:.4f}")
+        print(f"{name}: accuracy {_accuracy_text(acc)}")
     return EXIT_OK
 
 

@@ -105,9 +105,12 @@ class ModelParams:
         out.append(("u_a", "ua", self.ua))
         return out
 
-    def blocks(self) -> tuple[str, ...]:
-        """The block names of named_tensors(), each once, in its order."""
-        return tuple(dict.fromkeys(block for block, _, _ in self.named_tensors()))
+    def blocks(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """named_tensors() grouped by block: name -> its arrays (the parameters, not copies)."""
+        out: dict[str, tuple[np.ndarray, ...]] = {}
+        for block, _, arr in self.named_tensors():
+            out[block] = out.get(block, ()) + (arr,)
+        return out
 
 
 @dataclass
@@ -185,7 +188,7 @@ def _new_params(dims: Dims, draw) -> ModelParams:
 
 
 def zero_params(dims: Dims) -> ModelParams:
-    """All parameters zero; also the accumulator a gradient starts from."""
+    """All parameters zero."""
     return _new_params(dims, np.zeros)
 
 

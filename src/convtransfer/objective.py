@@ -35,19 +35,11 @@ import numpy as np
 
 from .convnet import BatchTrace, ConvBlock, conv_backward_batch, conv_forward_batch, pad_columns
 from .dataset import ROLE_TEST, DataError, DataPoint, MultiDomainDataset, NeighborGraph, training_view
-from .model import Dims, ModelParams, head_scores, init_params, zero_params
+from .model import Dims, ModelParams, head_scores, init_params
 # not called here: represent stays importable from this module, whose
 # namespace perfbench's tracer self-check wraps and calls it through
 from .model import represent  # noqa: F401
 from .numeric import Rng
-
-
-class DivergenceError(RuntimeError):
-    """Objective became non-finite during training."""
-
-    def __init__(self, iteration: int):
-        super().__init__(f"objective diverged (non-finite) at iteration {iteration}")
-        self.iteration = iteration
 
 
 @dataclass
@@ -91,6 +83,17 @@ class ObjectiveBreakdown:
     dom_match: float
     neighbor: float
     total: float
+
+
+class DivergenceError(RuntimeError):
+    """Objective became non-finite during training; the message names the
+    iteration, the step size and the first non-finite breakdown field."""
+
+    def __init__(self, iteration: int, tau: float, bd: ObjectiveBreakdown):
+        term = next(f.name for f in fields(bd) if not math.isfinite(getattr(bd, f.name)))
+        super().__init__(f"objective diverged at iteration {iteration} with tau {tau!r}: "
+                         f"{term} is {getattr(bd, term)}")
+        self.iteration = iteration
 
 
 def _check_compat(params: ModelParams, ds: MultiDomainDataset) -> None:
@@ -200,12 +203,11 @@ def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
 
 
 def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
-                   grad: Collection[str]) -> tuple[ObjectiveBreakdown, ModelParams | None]:
+                   grad: Collection[str]) -> tuple[ObjectiveBreakdown, dict[str, tuple[np.ndarray, ...]]]:
     """The objective breakdown of a packed dataset (see pack) from its
     Forward f under params, and the exact sub-gradient of the blocks named in
-    `grad`: params.blocks() for all of them, () for none (the gradient is then
-    None). Blocks outside `grad` are zero in the returned gradient, and only
-    the encoders of blocks in it run backward.
+    `grad` (params.blocks() for all, () for none), laid out as params.blocks().
+    Only their encoders run backward; heads and theta need no upstream term.
 
     Per-point upstream gradients add their terms in a fixed order
     (classification, attribute map, domain matching, neighbors), and the
@@ -232,24 +234,25 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     bd = ObjectiveBreakdown(aux_cls=aux, tgt_cls=tgt_cls, attr_map=attr,
                             dom_match=dom, neighbor=nb, total=total)
     if not grad:
-        return bd, None
+        return bd, {}
 
-    gs = zero_params(params.dims)
-    branches, grad_branches = _branches(params, b), _branches(gs, b)
-    # classification terms; unlabeled rows of gsc are zero
-    gsc = 2.0 * err
-    ups = []
-    for (s, _, head, rows), (_, _, grad_head, _), out in zip(branches, grad_branches, f.outputs):
-        if "u_" + s in grad:
-            grad_head += out.T @ gsc[rows]
-        ups.append(gsc[rows] @ head.T)
+    # head and theta blocks; "0.0 +" starts each sum from +0.0, as conv_backward_batch does
+    branches = _branches(params, b)
+    gsc = 2.0 * err  # classification terms; unlabeled rows are zero
+    gs = {"u_" + s: (0.0 + out.T @ gsc[rows],)
+          for (s, _, _, rows), out in zip(branches, f.outputs) if "u_" + s in grad}
+    if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
+        gs["theta"] = (np.zeros_like(params.theta) if cfg.c1 == 0.0
+                       else 0.0 + -2.0 * cfg.c1 * (b.a.T @ g_attr),)
+    if not any(block.startswith("f_") for block in grad):
+        return bd, {block: gs[block] for block in grad}
+
+    ups = [gsc[rows] @ head.T for _, _, head, rows in branches]
     up0, upa = ups[:2]
 
     # attribute-map term (weight c1)
     if cfg.c1 != 0.0:
         upa += 2.0 * cfg.c1 * g_attr
-        if "theta" in grad:
-            gs.theta += -2.0 * cfg.c1 * (b.a.T @ g_attr)
 
     # domain mean-matching term (weight c2)
     if cfg.c2 != 0.0 and T > 1:
@@ -268,13 +271,10 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
         upa[tgt] += dfeat[:, m0 + mt:]
 
     # backward through the encoders of the asked-for blocks
-    for (s, enc, _, _), (_, grad_enc, _, _), trace, up in zip(branches, grad_branches,
-                                                           f.traces, ups):
+    for (s, enc, _, _), trace, up in zip(branches, f.traces, ups):
         if "f_" + s in grad:
-            df, db = conv_backward_batch(enc, trace, up)
-            grad_enc.filters += df
-            grad_enc.bias += db
-    return bd, gs
+            gs["f_" + s] = conv_backward_batch(enc, trace, up)
+    return bd, {block: gs[block] for block in grad}
 
 
 def objective(params: ModelParams, ds: MultiDomainDataset,
@@ -287,10 +287,9 @@ def objective(params: ModelParams, ds: MultiDomainDataset,
     return value_and_grad(params, b, forward(params, b), cfg, ())[0]
 
 
-def gradient(params: ModelParams, ds: MultiDomainDataset,
-             graph: NeighborGraph | None, cfg: TrainConfig) -> ModelParams:
-    """Exact sub-gradient of the weighted total w.r.t. every parameter, as a
-    ModelParams of the same dims."""
+def gradient(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | None,
+             cfg: TrainConfig) -> dict[str, tuple[np.ndarray, ...]]:
+    """Exact sub-gradient of the weighted total, laid out as params.blocks()."""
     b = pack(params, ds, graph)
     return value_and_grad(params, b, forward(params, b), cfg, params.blocks())[1]
 
@@ -343,6 +342,9 @@ def write_trajectory_csv(rows: list[TrajectoryRow], path: str) -> None:
             f.write(str(r.iteration) + "," + ",".join(repr(v) for v in vals) + "\n")
 
 
+# a non-finite total ends training in DivergenceError, so numpy's overflow and
+# invalid-value warnings on the way there would only repeat it
+@np.errstate(all="ignore")
 def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
           cfg: TrainConfig) -> tuple[ModelParams, list[TrajectoryRow]]:
     """Run the fixed-step sub-gradient loop on training_view(ds).
@@ -378,7 +380,7 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     f = forward(params, batch)
     bd, gs = value_and_grad(params, batch, f, cfg, sweep[0])
     if not math.isfinite(bd.total):
-        raise DivergenceError(0)
+        raise DivergenceError(0, cfg.tau, bd)
     rows = [TrajectoryRow(0, bd, test_acc())]
     prev_total = bd.total
 
@@ -386,13 +388,13 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
         for k, step in enumerate(sweep):
             if k:
                 gs = value_and_grad(params, batch, f, cfg, step)[1]
-            for (block, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
-                if block in step:
+            for block in step:
+                for arr, grad in zip(blocks[block], gs[block]):
                     arr -= cfg.tau * grad
             f = forward(params, batch, f, step)
         bd, gs = value_and_grad(params, batch, f, cfg, sweep[0] if it < cfg.max_iters else ())
         if not math.isfinite(bd.total):
-            raise DivergenceError(it)
+            raise DivergenceError(it, cfg.tau, bd)
         rows.append(TrajectoryRow(it, bd, test_acc()))
         if abs(bd.total - prev_total) <= EARLY_STOP_REL_TOL * max(abs(prev_total), 1e-300):
             break

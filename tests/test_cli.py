@@ -1,6 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from convtransfer.cli import (
     main,
 )
 from convtransfer.dataset import (
+    ROLE_LABELED,
     ROLE_TEST,
     ROLE_UNLABELED,
     build_neighbor_graph,
@@ -178,6 +184,25 @@ class TestTrain:
                        "--set", "tau=1e3", "--set", "max_iters=50", "--set", "knn_k=1"])
         assert rc == EXIT_DIVERGED
 
+    def test_divergence_is_one_line_naming_iteration_tau_and_term(self, tmp_path):
+        # the CLI defaults diverge on synth seed 3; no numpy warning may
+        # reach stderr before the message
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "convtransfer.cli", *args], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True)
+
+        assert run("synth", "--seed", "3", "--out", "d.json").returncode == EXIT_OK
+        done = run("train", "--seed", "3", "--data", "d.json", "--model", "m.json",
+                   "--set", "curve_out=c.csv")
+        assert done.returncode == EXIT_DIVERGED
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert "iteration 6 " in lines[0] and "tau 0.001" in lines[0]
+        assert re.search(r": (aux_cls|tgt_cls|attr_map|dom_match|neighbor|total) is ", lines[0])
+
     def test_invalid_train_value_is_config_error(self, tmp_path, capsys):
         data = synth(tmp_path)
         for key, value in [("init_range", "-1"), ("init_range", "nan"), ("init_range", "inf"),
@@ -220,6 +245,29 @@ class TestTrain:
                      "--seed", "0", "--out", str(evaled)]) == EXIT_OK
         assert (json.loads(evaled.read_text())["per_domain_accuracy"]
                 == json.loads(report.read_text())["per_domain_accuracy"])
+
+    @pytest.mark.parametrize("with_unlabeled", [True, False])
+    def test_no_test_points_reports_no_test_accuracy(self, tmp_path, capsys, with_unlabeled):
+        # training points never stand in for test points, in train or in eval
+        data = synth(tmp_path)
+        ds = load_dataset(str(data))
+        for i, p in enumerate(ds.target):
+            p.role = ROLE_UNLABELED if with_unlabeled and i % 2 else ROLE_LABELED
+            if p.role == ROLE_UNLABELED:
+                p.y = None
+        save_dataset(ds, str(data))
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(train_args(data, model, tmp_path / "c.csv", ["--out", str(report)])) == EXIT_OK
+        assert json.loads(report.read_text())["target_test_accuracy"] is None
+        assert capsys.readouterr().out.rstrip().endswith("target test accuracy n/a")
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--out", str(report)]) == EXIT_OK
+        evaled = json.loads(report.read_text())
+        assert evaled["target_test_accuracy"] is None
+        assert evaled["per_domain_accuracy"]["domain_2_target_test"] is None
+        assert evaled["per_domain_accuracy"]["domain_1"] >= 0.0
+        assert capsys.readouterr().out.splitlines()[-1] == "domain_2_target_test: accuracy n/a"
 
     def test_tagged_file_without_labeled_target_is_data_error(self, tmp_path, capsys):
         data = synth(tmp_path)

@@ -1,3 +1,4 @@
+import re
 import runpy
 from pathlib import Path
 
@@ -268,9 +269,20 @@ def test_batched_backward_equals_sequential_per_point_sums(case):
     assert dbias.tobytes() == want_b.tobytes()
 
 
-def test_encoder_demo_runs(capsys):
-    # the one demo that reads trace fields and conv_backward's results
-    runpy.run_path(str(Path(__file__).parents[1] / "demos" / "encoder_basics.py"),
-                   run_name="__main__")
+@pytest.mark.parametrize("demo", ["encoder_basics", "gradient_check"])
+def test_encoder_demo_runs(capsys, demo):
+    # encoder_basics reads trace fields and conv_backward's results;
+    # gradient_check pairs every parameter block with its gradient
+    runpy.run_path(str(Path(__file__).parents[1] / "demos" / f"{demo}.py"), run_name="__main__")
     out = capsys.readouterr().out
-    assert "max position per filter" in out and "gradient w.r.t. the filters" in out
+    if demo == "encoder_basics":
+        assert "max position per filter" in out and "gradient w.r.t. the filters" in out
+        return
+    instances = out.split("instance ")[1:]
+    assert len(instances) == 3
+    for text in instances:
+        # one line per block of a 3-domain model, in block order
+        lines = re.findall(r"^ *(\S+): max relative error (\S+)$", text, re.M)
+        assert [block for block, _ in lines] == [
+            "f_0", "f_1", "f_2", "f_3", "f_a", "theta", "u_0", "u_1", "u_2", "u_3", "u_a"]
+        assert all(float(err) < 1e-4 for _, err in lines)

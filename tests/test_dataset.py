@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convtransfer.dataset import (
     ROLE_LABELED,
@@ -59,6 +61,24 @@ class TestSplit:
         with pytest.raises(DataError):
             split_roles(3, Rng(0))
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(4, 500), seed=st.integers(0, 2**64 - 1))
+    def test_any_size_splits_by_the_half_rule(self, n, seed):
+        roles = split_roles(n, Rng(seed))
+        n_test = n // 2
+        n_labeled = math.ceil((n - n_test) / 2)
+        # one tag per index, so every index is tagged exactly once
+        assert len(roles) == n and set(roles) <= {ROLE_TEST, ROLE_LABELED, ROLE_UNLABELED}
+        assert roles.count(ROLE_TEST) == n_test
+        assert roles.count(ROLE_LABELED) == n_labeled
+        assert roles.count(ROLE_UNLABELED) == n - n_test - n_labeled
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(-3, 3))
+    def test_fewer_than_four_points_rejected(self, n):
+        with pytest.raises(DataError, match="at least 4 points"):
+            split_roles(n, Rng(0))
+
     def test_split_target_tags_in_place(self):
         ds = generate_synthetic(SynthSpec(domains=2, points_per_domain=8), seed=1)
         tags = split_target(ds, seed=5)
@@ -99,6 +119,22 @@ class TestNeighborGraph:
                 want.add((min(i, j), max(i, j)))
         got = {(min(i, j), max(i, j)) for i, adj in enumerate(g.neighbors) for j in adj}
         assert got == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_symmetric_loop_free_and_at_least_k_neighbors(self, data):
+        # small integer entries make distance ties common
+        n = data.draw(st.integers(2, 12), label="n")
+        d = data.draw(st.integers(1, 3), label="d")
+        k = data.draw(st.integers(0, n - 1), label="k")
+        cells = st.lists(st.integers(-2, 2), min_size=2 * d, max_size=2 * d)
+        pts = [DataPoint(x=np.array(data.draw(cells), dtype=float).reshape(d, 2), a=np.zeros(1))
+               for _ in range(n)]
+        g = build_neighbor_graph(pts, k)
+        for i, adj in enumerate(g.neighbors):
+            assert i not in adj
+            assert len(adj) >= k
+            assert all(i in g.neighbors[j] for j in adj)
 
     def test_k_too_large_rejected(self):
         pts = [point(seed_rng=Rng(i)) for i in range(3)]

@@ -146,8 +146,8 @@ def test_model_file_in_the_old_key_order_loads_bit_exactly(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     loaded = load_params(str(path))
-    for (_, key, want), (_, _, got) in zip(params.named_tensors(), loaded.named_tensors()):
-        assert got.tobytes() == want.tobytes(), key
+    assert ([(key, arr.tobytes()) for _, key, arr in loaded.named_tensors()]
+            == [(key, arr.tobytes()) for _, key, arr in params.named_tensors()])
 
 
 def test_load_rejects_malformed_model_files(tmp_path):

@@ -302,7 +302,8 @@ class TestGradient:
         cfg = TrainConfig(c1=0.0, c2=0.0, c3=0.0, m0=2, mt=2, ma=2, w=2)
         params = make_params(18)
         gs = gradient(params, ds, empty_graph(1), cfg)
-        assert not np.any(gs.theta)  # theta only enters via the attribute term
+        # theta only enters via the attribute term; its gradient is exactly +0.0
+        assert gs["theta"][0].tobytes() == np.zeros_like(params.theta).tobytes()
 
     def test_theta_stationary_at_least_squares_optimum(self):
         ds = tiny_dataset(19, n_per_domain=4)
@@ -321,7 +322,7 @@ class TestGradient:
         for u in (params.u0, params.ua, *params.u_dom):
             u[...] = 0.0
         gs = gradient(params, ds, empty_graph(4), cfg)
-        assert np.max(np.abs(gs.theta)) < 1e-8
+        assert np.max(np.abs(gs["theta"][0])) < 1e-8
 
     def test_matches_finite_differences_on_smooth_instances(self):
         for seed in range(5):
@@ -338,18 +339,38 @@ class TestGradient:
     def test_corrupted_block_is_caught(self, monkeypatch):
         parts = random_smooth_instance(123, points_per_domain=2, n_domains=2, d=4, m=3)
         exact = gradcheck.value_and_grad
+        # theta's one array, then the bias, the second array of an encoder block
+        for block, idx in [("theta", 0), ("f_a", 1)]:
 
-        def theta_negated(*args, **kwargs):
-            value, grads = exact(*args, **kwargs)
-            if grads is not None:
-                grads.theta *= -1.0
-            return value, grads
+            def one_array_negated(*args, **kwargs):
+                value, grads = exact(*args, **kwargs)
+                if block in grads:
+                    grads[block] = tuple(-g if i == idx else g for i, g in enumerate(grads[block]))
+                return value, grads
 
-        monkeypatch.setattr(gradcheck, "value_and_grad", theta_negated)
-        errs = gradient_check(*parts)
-        assert errs["theta"] > 1e-4
-        others = {k: v for k, v in errs.items() if k != "theta"}
-        assert max(others.values()) < 1e-4
+            monkeypatch.setattr(gradcheck, "value_and_grad", one_array_negated)
+            errs = gradient_check(*parts)
+            assert errs[block] > 1e-4
+            others = {k: v for k, v in errs.items() if k != block}
+            assert max(others.values()) < 1e-4
+
+    def test_gradient_has_every_block_in_the_parameters_layout(self):
+        params = make_params(22)
+        gs = gradient(params, tiny_dataset(22), empty_graph(2), CFG)
+        blocks = params.blocks()
+        assert list(gs) == list(blocks)
+        for block, arrs in blocks.items():
+            assert [g.shape for g in gs[block]] == [arr.shape for arr in arrs], block
+            assert all(g.dtype == np.float64 for g in gs[block]), block
+
+
+def test_blocks_are_the_parameters_grouped():
+    params = make_params(20)
+    blocks = params.blocks()
+    grouped = [(block, id(arr)) for block, arrs in blocks.items() for arr in arrs]
+    assert grouped == [(block, id(arr)) for block, _, arr in params.named_tensors()]
+    blocks["theta"][0][0, 0] = 7.0  # the arrays are the parameters, not copies
+    assert params.theta[0, 0] == 7.0
 
 
 def test_parameter_blocks_order():
@@ -377,7 +398,7 @@ def _smooth_batch():
     return params, pack(params, ds, graph), cfg
 
 
-BLOCKS = make_params().blocks()
+BLOCKS = list(make_params().blocks())
 
 
 class TestReuse:
@@ -389,9 +410,8 @@ class TestReuse:
         params, b, _ = _smooth_batch()
         base = forward(params, b)
         base_scores = base.scores.copy()
-        for name, _, arr in params.named_tensors():
-            if name == block:
-                arr += 0.05 * Rng(1).normal(arr.shape)
+        for arr in params.blocks()[block]:
+            arr += 0.05 * Rng(1).normal(arr.shape)
         got, want = forward(params, b, base, (block,)), forward(params, b)
         for g, w in zip(got.outputs, want.outputs, strict=True):
             assert _same_bits(g, w)
@@ -410,12 +430,11 @@ class TestReuse:
         full_bd, full = value_and_grad(params, b, f, cfg, params.blocks())
         bd, one = value_and_grad(params, b, f, cfg, (block,))
         assert bd == full_bd
-        for (name, key, g_full), (_, _, g_one) in zip(full.named_tensors(), one.named_tensors()):
-            if name == block:
-                assert np.any(g_full), key
-                assert _same_bits(g_one, g_full), key
-            else:
-                assert not np.any(g_one), key
+        assert list(full) == list(BLOCKS)
+        assert list(one) == [block]
+        for g_full, g_one in zip(full[block], one[block], strict=True):
+            assert np.any(g_full)
+            assert _same_bits(g_one, g_full)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_finite_diff_block_equals_fresh_forward_differences(self, block):
@@ -426,9 +445,7 @@ class TestReuse:
         def fresh_total():
             return value_and_grad(params, b, forward(params, b), cfg, ())[0].total
 
-        for name, key, arr in params.named_tensors():
-            if name != block:
-                continue
+        for key, arr in enumerate(params.blocks()[block]):
             got = finite_diff_block(params, b, base, cfg, block, arr, eps)
             want = np.zeros_like(arr)
             for k in range(arr.size):
@@ -493,3 +510,12 @@ class TestKernelCalls:
         T = ds.n_domains
         assert counts[1]["forward"] - counts[0]["forward"] == T + 2
         assert counts[1]["backward"] - counts[0]["backward"] == T + 2
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_one_block_gradient_runs_only_that_encoder_backward(self, kernel_calls, block):
+        params, b, cfg = _smooth_batch()
+        f = forward(params, b)
+        kernel_calls.update(forward=0, backward=0)
+        value_and_grad(params, b, f, cfg, (block,))
+        # a head or theta block runs no backward at all
+        assert kernel_calls == {"forward": 0, "backward": int(block.startswith("f_"))}

@@ -1,7 +1,8 @@
 """Tests for the sub-gradient training loop and trajectory reporting."""
 
 import math
-from dataclasses import astuple
+import warnings
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from convtransfer.numeric import Rng
 from convtransfer.objective import (
     CSV_HEADER,
     DivergenceError,
+    ObjectiveBreakdown,
     TrainConfig,
     evaluate,
     gradient,
@@ -91,9 +93,22 @@ class TestTrainLoop:
     def test_divergence_raises_with_iteration(self):
         ds, graph = small_instance(0)
         cfg = TrainConfig(tau=1e3, max_iters=50, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
-            train(ds, graph, cfg)
+        # train itself keeps numpy's floating-point warnings in
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                train(ds, graph, cfg)
         assert exc.value.iteration >= 1
+        msg = str(exc.value)
+        assert f"iteration {exc.value.iteration} " in msg and "tau 1000.0" in msg
+        assert any(f"{f.name} is " in msg for f in fields(ObjectiveBreakdown))
+
+    def test_divergence_names_the_first_non_finite_term(self):
+        bd = ObjectiveBreakdown(aux_cls=1.0, tgt_cls=math.nan, attr_map=2.0,
+                                dom_match=math.inf, neighbor=3.0, total=math.nan)
+        err = DivergenceError(7, 0.5, bd)
+        assert err.iteration == 7
+        assert str(err) == "objective diverged at iteration 7 with tau 0.5: tgt_cls is nan"
 
     def test_requires_a_labeled_target_point(self):
         ds, graph = small_instance(0)
@@ -117,12 +132,12 @@ def reference_block_cyclic(ds, graph, cfg):
                                                              T - 1)
 
     rows = [row()]
+    blocks = params.blocks()
     for _ in range(cfg.max_iters):
-        for block in params.blocks():
+        for block in blocks:
             gs = gradient(params, view, graph, cfg)
-            for (name, _, arr), (_, _, grad) in zip(params.named_tensors(), gs.named_tensors()):
-                if name == block:
-                    arr -= cfg.tau * grad
+            for arr, grad in zip(blocks[block], gs[block], strict=True):
+                arr -= cfg.tau * grad
         rows.append(row())
     return params, rows
 
@@ -133,8 +148,8 @@ def test_block_cyclic_matches_full_recompute_reference(n_domains):
     cfg = TrainConfig(tau=1e-3, max_iters=3, seed=7, update_mode="block-cyclic")
     params, rows = train(ds, graph, cfg)
     want_params, want_rows = reference_block_cyclic(ds, graph, cfg)
-    for (_, key, got), (_, _, want) in zip(params.named_tensors(), want_params.named_tensors()):
-        assert got.tobytes() == want.tobytes(), key
+    assert ([(key, arr.tobytes()) for _, key, arr in params.named_tensors()]
+            == [(key, arr.tobytes()) for _, key, arr in want_params.named_tensors()])
     assert len(rows) == len(want_rows) == cfg.max_iters + 1
     for r, (bd, acc) in zip(rows, want_rows):
         assert repr((astuple(r.breakdown), r.accuracy)) == repr((astuple(bd), acc)), r.iteration
