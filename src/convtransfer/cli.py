@@ -174,7 +174,9 @@ def _load_split(cfg: dict):
     return ds
 
 
-def _report(params, ds) -> dict:
+def _report(params, ds, path: str | None, **extra) -> dict:
+    """The accuracy report of params on ds, with `extra` entries added;
+    written as JSON to path when one is given."""
     T = ds.n_domains
     per_domain = {}
     for t in range(T - 1):
@@ -183,7 +185,12 @@ def _report(params, ds) -> dict:
     test_points = ds.target_points(ROLE_TEST)
     tgt = evaluate(params, test_points, T - 1) if test_points else None
     per_domain[f"domain_{T}_target_test"] = tgt
-    return {"per_domain_accuracy": per_domain, "target_test_accuracy": tgt}
+    report = {"per_domain_accuracy": per_domain, "target_test_accuracy": tgt, **extra}
+    if path:
+        with open(path, "w") as f:
+            json.dump(report, f, indent=1, sort_keys=True)
+            f.write("\n")
+    return report
 
 
 def _accuracy_text(acc: float | None) -> str:
@@ -198,14 +205,9 @@ def cmd_train(cfg: dict) -> int:
     params, rows = train(ds, graph, tc)
     save_params(params, cfg["model_out"])
     write_trajectory_csv(rows, cfg["curve_out"])
-    report = _report(params, ds)
     final = rows[-1].breakdown
-    report["iterations"] = rows[-1].iteration
-    report["final_objective"] = dataclasses.asdict(final)
-    if cfg["report_out"]:
-        with open(cfg["report_out"], "w") as f:
-            json.dump(report, f, indent=1, sort_keys=True)
-            f.write("\n")
+    report = _report(params, ds, cfg["report_out"], iterations=rows[-1].iteration,
+                     final_objective=dataclasses.asdict(final))
     print(f"trained {report['iterations']} iterations; "
           f"final total {final.total!r}; "
           f"target test accuracy {_accuracy_text(report['target_test_accuracy'])}")
@@ -217,11 +219,7 @@ def cmd_eval(cfg: dict) -> int:
     params = load_params(cfg["model"])
     ds = _load_split(cfg)
     _check_compat(params, ds)
-    report = _report(params, ds)
-    if cfg["report_out"]:
-        with open(cfg["report_out"], "w") as f:
-            json.dump(report, f, indent=1, sort_keys=True)
-            f.write("\n")
+    report = _report(params, ds, cfg["report_out"])
     for name, acc in report["per_domain_accuracy"].items():
         print(f"{name}: accuracy {_accuracy_text(acc)}")
     return EXIT_OK

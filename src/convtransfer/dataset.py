@@ -130,19 +130,12 @@ def split_roles(n: int, rng: Rng) -> list[str]:
     and the training half splits into ceil/floor labeled/unlabeled halves."""
     if n < 4:
         raise DataError(f"target domain needs at least 4 points to split, got {n}")
-    perm = rng.permutation(n)
     n_test = n // 2
-    n_train = n - n_test
-    n_labeled = math.ceil(n_train / 2)
-    roles = [""] * n
-    for j, idx in enumerate(perm):
-        if j < n_test:
-            roles[idx] = ROLE_TEST
-        elif j < n_test + n_labeled:
-            roles[idx] = ROLE_LABELED
-        else:
-            roles[idx] = ROLE_UNLABELED
-    return roles
+    n_labeled = math.ceil((n - n_test) / 2)
+    roles = np.empty(n, dtype=object)
+    roles[rng.permutation(n)] = ([ROLE_TEST] * n_test + [ROLE_LABELED] * n_labeled
+                                 + [ROLE_UNLABELED] * (n - n_test - n_labeled))
+    return roles.tolist()
 
 
 def split_target(ds: MultiDomainDataset, seed: int) -> list[str]:
@@ -188,18 +181,17 @@ def build_neighbor_graph(points: list[DataPoint], k: int) -> NeighborGraph:
         raise DataError(f"k must be nonnegative, got {k}")
     if k >= n:
         raise DataError(f"k={k} must be smaller than the number of points n={n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    if k > 0:
-        means = np.stack([p.x.mean(axis=1) for p in points])
-        diffs = means[:, None, :] - means[None, :, :]
-        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
-        np.fill_diagonal(dist, np.inf)
-        for i in range(n):
-            nearest = np.argsort(dist[i], kind="stable")[:k]
-            for j in nearest:
-                adj[i].add(int(j))
-                adj[int(j)].add(i)
-    return NeighborGraph(n=n, neighbors=[sorted(s) for s in adj])
+    means = np.stack([p.x.mean(axis=1) for p in points])
+    diffs = means[:, None, :] - means[None, :, :]
+    dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+    # each point's own column is dropped from its order, not set to inf: a
+    # distance that overflows to inf must not tie with it
+    order = np.argsort(dist, axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, order[order != rows].reshape(n, n - 1)[:, :k]] = True
+    adj |= adj.T
+    return NeighborGraph(n=n, neighbors=[np.flatnonzero(row).tolist() for row in adj])
 
 
 @dataclass
@@ -332,12 +324,10 @@ def load_dataset(path: str) -> MultiDomainDataset:
             if not isinstance(entry, dict):
                 raise DataError(f"{where}: must be an object")
             try:
-                x = np.asarray(entry["x"], dtype=np.float64)
-                a = np.asarray(entry["a"], dtype=np.float64)
-                y = None if entry.get("y") is None else np.asarray(entry["y"], dtype=np.float64)
-            except (KeyError, ValueError) as e:
+                points.append(DataPoint(x=entry["x"], a=entry["a"], y=entry.get("y"),
+                                        role=entry.get("role")))
+            except (KeyError, OverflowError, TypeError, ValueError) as e:
                 raise DataError(f"{where}: malformed arrays: {e}") from e
-            points.append(DataPoint(x=x, a=a, y=y, role=entry.get("role")))
         domains.append(points)
     try:
         return MultiDomainDataset(d=doc["d"], a_dim=doc["A"], y_dim=doc["Y"], domains=domains)

@@ -38,8 +38,9 @@ class Dims:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name != "mt" and int(v) < 1:
-                raise ValueError(f"dimension {f.name} must be positive, got {v}")
+            if f.name != "mt" and (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                                   or v < 1):
+                raise ValueError(f"dimension {f.name} must be a positive integer, got {v!r}")
         if len(self.mt) < 1 or any(int(m) < 1 for m in self.mt):
             raise ValueError(f"per-domain output sizes must be positive, got {self.mt}")
         object.__setattr__(self, "mt", tuple(int(m) for m in self.mt))
@@ -172,10 +173,10 @@ def _shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _new_params(dims: Dims, draw) -> ModelParams:
-    """Parameters of the given dims, each tensor drawn as draw(shape) in the
-    order of _shapes."""
-    tensors = {key: draw(shape) for key, shape in _shapes(dims).items()}
+def _new_params(dims: Dims, tensor) -> ModelParams:
+    """Parameters of the given dims, each tensor built as tensor(key, shape)
+    in the order of _shapes."""
+    tensors = {key: tensor(key, shape) for key, shape in _shapes(dims).items()}
 
     def block(name):
         return ConvBlock(filters=tensors[f"{name}.filters"], bias=tensors[f"{name}.bias"])
@@ -187,11 +188,6 @@ def _new_params(dims: Dims, draw) -> ModelParams:
                        u_dom=[tensors[f"u_dom.{t}"] for t in domains])
 
 
-def zero_params(dims: Dims) -> ModelParams:
-    """All parameters zero."""
-    return _new_params(dims, np.zeros)
-
-
 def init_params(dims: Dims, rng: Rng, scale: float = 0.1) -> ModelParams:
     """All parameters i.i.d. uniform in [-scale, scale]; deterministic per seed.
 
@@ -200,7 +196,7 @@ def init_params(dims: Dims, rng: Rng, scale: float = 0.1) -> ModelParams:
     """
     if scale <= 0:
         raise ValueError(f"init scale must be positive, got {scale}")
-    return _new_params(dims, lambda shape: rng.uniform(-scale, scale, shape))
+    return _new_params(dims, lambda key, shape: rng.uniform(-scale, scale, shape))
 
 
 def save_params(params: ModelParams, path: str) -> None:
@@ -218,24 +214,27 @@ def save_params(params: ModelParams, path: str) -> None:
 
 def load_params(path: str) -> ModelParams:
     """Read a save_params document; a wrong version, a missing key, or a
-    tensor of the wrong shape or with non-finite entries raises DataError."""
+    tensor of the wrong shape or with non-finite entries raises DataError.
+    Each tensor is built from the file's own data, so a `dims` entry that
+    disagrees with it is reported, never allocated."""
+
+    def tensor(key, shape):
+        entry = doc["params"][key]
+        value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        if value.shape != shape:
+            raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key} holds non-finite entries")
+        return value
+
     try:
         with open(path) as f:
             doc = json.load(f)
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {doc.get('format_version')}")
         dd = doc["dims"]
-        params = zero_params(Dims(**{f.name: dd[f.name] for f in fields(Dims)}))
-        for _, key, arr in params.named_tensors():
-            entry = doc["params"][key]
-            value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            if value.shape != arr.shape:
-                raise ValueError(f"{key} has shape {value.shape}, expected {arr.shape}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"{key} holds non-finite entries")
-            arr[...] = value
+        return _new_params(Dims(**{f.name: dd[f.name] for f in fields(Dims)}), tensor)
     except KeyError as e:
         raise DataError(f"{path}: missing model entry {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"{path}: {e}") from e
-    return params

@@ -378,14 +378,9 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
         return _accuracy(params, test_batch) if test_batch else math.nan
 
     f = forward(params, batch)
-    bd, gs = value_and_grad(params, batch, f, cfg, sweep[0])
-    if not math.isfinite(bd.total):
-        raise DivergenceError(0, cfg.tau, bd)
-    rows = [TrajectoryRow(0, bd, test_acc())]
-    prev_total = bd.total
-
-    for it in range(1, cfg.max_iters + 1):
-        for k, step in enumerate(sweep):
+    rows: list[TrajectoryRow] = []
+    for it in range(cfg.max_iters + 1):
+        for k, step in enumerate(sweep if it else ()):  # row 0 is the initial state
             if k:
                 gs = value_and_grad(params, batch, f, cfg, step)[1]
             for block in step:
@@ -396,7 +391,8 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
         if not math.isfinite(bd.total):
             raise DivergenceError(it, cfg.tau, bd)
         rows.append(TrajectoryRow(it, bd, test_acc()))
-        if abs(bd.total - prev_total) <= EARLY_STOP_REL_TOL * max(abs(prev_total), 1e-300):
-            break
-        prev_total = bd.total
+        if it:  # row 0 has no predecessor to compare with
+            prev = rows[-2].breakdown.total
+            if abs(bd.total - prev) <= EARLY_STOP_REL_TOL * max(abs(prev), 1e-300):
+                break
     return params, rows

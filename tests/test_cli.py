@@ -50,6 +50,14 @@ def train_args(data, model, curve, extra=()):
             "--set", "max_iters=5", "--set", "tau=1e-4"] + list(extra)
 
 
+def run_cli(cwd, *args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "convtransfer.cli", *args], env=env,
+                          cwd=cwd, capture_output=True, text=True)
+
+
 class TestSynth:
     def test_same_seed_byte_identical(self, tmp_path):
         a = synth(tmp_path, seed=3, name="a.json")
@@ -187,16 +195,9 @@ class TestTrain:
     def test_divergence_is_one_line_naming_iteration_tau_and_term(self, tmp_path):
         # the CLI defaults diverge on synth seed 3; no numpy warning may
         # reach stderr before the message
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-
-        def run(*args):
-            return subprocess.run([sys.executable, "-m", "convtransfer.cli", *args], env=env,
-                                  cwd=tmp_path, capture_output=True, text=True)
-
-        assert run("synth", "--seed", "3", "--out", "d.json").returncode == EXIT_OK
-        done = run("train", "--seed", "3", "--data", "d.json", "--model", "m.json",
-                   "--set", "curve_out=c.csv")
+        assert run_cli(tmp_path, "synth", "--seed", "3", "--out", "d.json").returncode == EXIT_OK
+        done = run_cli(tmp_path, "train", "--seed", "3", "--data", "d.json", "--model", "m.json",
+                       "--set", "curve_out=c.csv")
         assert done.returncode == EXIT_DIVERGED
         lines = done.stderr.splitlines()
         assert len(lines) == 1, done.stderr
@@ -307,6 +308,18 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["x", "a", "y"])
+    @pytest.mark.parametrize("value", [{"a": 1}, [10**400]])
+    def test_non_numeric_point_array_is_data_error(self, tmp_path, capsys, key, value):
+        # neither a JSON object nor an integer beyond float range is a number
+        data = synth(tmp_path)
+        doc = json.loads(data.read_text())
+        doc["domains"][0]["points"][1][key] = value
+        data.write_text(json.dumps(doc))
+        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv"))
+        assert rc == EXIT_DATA
+        assert "domain 0, point 1: malformed arrays" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["model", "curve", "report"])
     def test_unwritable_output_fails_before_training(self, tmp_path, capsys, monkeypatch, bad):
         data = synth(tmp_path)
@@ -379,6 +392,31 @@ class TestEval:
         model.write_text(json.dumps(doc))
         assert main(["eval", "--model", str(model), "--data", str(data)]) == EXIT_DATA
         assert "theta" in capsys.readouterr().err
+
+
+    def test_model_dims_disagreeing_with_its_tensors_is_data_error(self, tmp_path):
+        # dims that claim 10**18-entry tensors are checked against the file's
+        # own tensors, never allocated
+        data = synth(tmp_path)
+        model = tmp_path / "m.json"
+        assert main(train_args(data, model, tmp_path / "c.csv")) == EXIT_OK
+        doc = json.loads(model.read_text())
+        doc["dims"].update(d=10**6, m0=10**6, ma=10**6, w=10**6)
+        model.write_text(json.dumps(doc))
+        done = run_cli(tmp_path, "eval", "--model", "m.json", "--data", str(data))
+        assert done.returncode == EXIT_DATA, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "f_a.filters has shape" in done.stderr
+
+    def test_model_entry_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        model = tmp_path / "m.json"
+        assert main(train_args(data, model, tmp_path / "c.csv")) == EXIT_OK
+        doc = json.loads(model.read_text())
+        doc["params"]["u0"]["data"][0] = 10**400
+        model.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == EXIT_DATA
+        assert "int too large" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from convtransfer.dataset import (
     DataError,
     DataPoint,
     MultiDomainDataset,
+    NeighborGraph,
     SynthSpec,
     build_neighbor_graph,
     generate_synthetic,
@@ -20,6 +23,7 @@ from convtransfer.dataset import (
     save_dataset,
     split_roles,
     split_target,
+    training_view,
 )
 from convtransfer.numeric import Rng
 
@@ -136,6 +140,28 @@ class TestNeighborGraph:
             assert len(adj) >= k
             assert all(i in g.neighbors[j] for j in adj)
 
+    def test_overflowing_distances_still_give_a_loop_free_graph(self):
+        # every squared distance overflows to inf, so all distances tie
+        pts = [DataPoint(x=np.full((1, 2), v * 1e200), a=np.zeros(1)) for v in (0.0, 2.0, 5.0)]
+        with np.errstate(over="ignore"):
+            g = build_neighbor_graph(pts, 1)
+        assert g.neighbors == [[1, 2], [0], [0]]
+
+    def test_negative_k_rejected(self):
+        pts = [point(seed_rng=Rng(i)) for i in range(3)]
+        with pytest.raises(DataError, match="nonnegative"):
+            build_neighbor_graph(pts, -1)
+
+    @pytest.mark.parametrize("neighbors, message", [
+        ([[1], [0, 2]], "2 adjacency lists for n=3"),
+        ([[3], [], []], "node 0: neighbor 3 out of range"),
+        ([[1], [0, 1], []], "node 1: self-loop"),
+        ([[1, 2], [0], []], "edge 0-2 is not symmetric"),
+    ])
+    def test_graph_rejects_malformed_adjacency(self, neighbors, message):
+        with pytest.raises(DataError, match=message):
+            NeighborGraph(n=3, neighbors=neighbors)
+
     def test_k_too_large_rejected(self):
         pts = [point(seed_rng=Rng(i)) for i in range(3)]
         with pytest.raises(DataError):
@@ -190,6 +216,21 @@ class TestSynthetic:
                 assert p.a.shape == (6,) and p.y.shape == (3,)
 
 
+def small_doc():
+    """A hand-written dataset file: one auxiliary point, then a target
+    point tagged test and an unlabeled one."""
+    return {
+        "version": 1, "d": 2, "A": 2, "Y": 2,
+        "domains": [
+            {"id": 0, "target": False,
+             "points": [{"x": [[1.0, 2.0], [3.0, 4.0]], "a": [1, 0], "y": [0, 1]}]},
+            {"id": 1, "target": True,
+             "points": [{"x": [[0.5], [0.25]], "a": [0, 1], "y": [1, 0], "role": "test"},
+                        {"x": [[-1.0], [0.0]], "a": [1, 1], "y": None}]},
+        ],
+    }
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(SynthSpec(domains=2, points_per_domain=5), seed=7)
@@ -217,19 +258,7 @@ class TestSerialization:
             load_dataset(path)
 
     def test_hand_written_fixture(self, tmp_path):
-        doc = {
-            "version": 1,
-            "d": 2, "A": 2, "Y": 2,
-            "domains": [
-                {"id": 0, "target": False,
-                 "points": [{"x": [[1.0, 2.0], [3.0, 4.0]], "a": [1, 0], "y": [0, 1]}]},
-                {"id": 1, "target": True,
-                 "points": [
-                     {"x": [[0.5], [0.25]], "a": [0, 1], "y": [1, 0], "role": "test"},
-                     {"x": [[-1.0], [0.0]], "a": [1, 1], "y": None},
-                 ]},
-            ],
-        }
+        doc = small_doc()
         path = str(tmp_path / "fixture.json")
         with open(path, "w") as f:
             json.dump(doc, f)
@@ -240,8 +269,114 @@ class TestSerialization:
         assert ds.target[0].role == ROLE_TEST
         assert ds.target[1].y is None
 
+    # (case, change to small_doc(), or the file's whole text; expected message)
+    REJECTIONS = [
+        ("invalid JSON", "{", "not valid JSON"),
+        ("wrong version", lambda doc: doc.update(version=2), "unsupported dataset version 2"),
+        ("missing field", lambda doc: doc.pop("Y"), "missing field 'Y'"),
+        ("domains not objects", lambda doc: doc.update(domains=[1]), "list of objects"),
+        ("no target", lambda doc: doc["domains"][1].update(target=False),
+         "exactly one domain must have target: true, found 0"),
+        ("target not last", lambda doc: doc["domains"].reverse(), "must be listed last"),
+        ("dimension not an integer", lambda doc: doc.update(d=2.5), "dimension d"),
+        ("point not an object", lambda doc: doc["domains"][1]["points"].__setitem__(1, []),
+         "domain 1, point 1: must be an object"),
+        ("missing x", lambda doc: doc["domains"][0]["points"][0].pop("x"),
+         "domain 0, point 0: malformed arrays"),
+        ("ragged x", lambda doc: doc["domains"][1]["points"][0].update(x=[[0.5, 1.0], [0.25]]),
+         "domain 1, point 0: malformed arrays"),
+        ("x with the wrong rows", lambda doc: doc["domains"][0]["points"][0].update(x=[[1.0]]),
+         "domain 0, point 0: x must be 2xL"),
+        ("x without columns", lambda doc: doc["domains"][1]["points"][1].update(x=[[], []]),
+         "domain 1, point 1: x must be 2xL"),
+        ("non-finite x", lambda doc: doc["domains"][1]["points"][1]["x"][0].__setitem__(0, math.nan),
+         "domain 1, point 1: x contains non-finite"),
+        ("wrong a length", lambda doc: doc["domains"][0]["points"][0].update(a=[1]),
+         "domain 0, point 0: attribute vector has shape"),
+        ("wrong y length", lambda doc: doc["domains"][0]["points"][0].update(y=[0, 0, 1]),
+         "domain 0, point 0: label has shape"),
+        ("non-one-hot y", lambda doc: doc["domains"][1]["points"][0].update(y=[1, 1]),
+         "domain 1, point 0: label must be one-hot"),
+        ("unknown role", lambda doc: doc["domains"][1]["points"][1].update(role="train"),
+         "domain 1, point 1: unknown role 'train'"),
+        ("role in an auxiliary domain", lambda doc: doc["domains"][0]["points"][0].update(role="test"),
+         "domain 0, point 0: role tags are only valid in the target domain"),
+        ("unlabeled auxiliary point", lambda doc: doc["domains"][0]["points"][0].update(y=None),
+         "domain 0, point 0: auxiliary-domain points must be labeled"),
+    ]
+
+    @pytest.mark.parametrize("change, message", [c[1:] for c in REJECTIONS],
+                             ids=[c[0] for c in REJECTIONS])
+    def test_rejection_names_the_file_and_location(self, tmp_path, change, message):
+        path = tmp_path / "bad.json"
+        if isinstance(change, str):
+            path.write_text(change)
+        else:
+            doc = small_doc()
+            change(doc)
+            path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as exc:
+            load_dataset(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
     def test_unlabeled_auxiliary_point_rejected(self):
         pts_aux = [DataPoint(x=np.ones((2, 2)), a=np.zeros(2), y=None)]
         pts_tgt = [point() for _ in range(2)]
         with pytest.raises(DataError, match="auxiliary"):
             MultiDomainDataset(d=2, a_dim=2, y_dim=2, domains=[pts_aux, pts_tgt])
+
+
+@st.composite
+def datasets(draw):
+    """Datasets of 1 to 3 domains of 1 to 3 points, with any finite x,
+    every label present or (in the target) absent, and any target roles."""
+    d, a_dim, y_dim = (draw(st.integers(1, 3)) for _ in range(3))
+    n_domains = draw(st.integers(1, 3))
+    domains = []
+    for t in range(n_domains):
+        is_target = t == n_domains - 1
+        points = []
+        for _ in range(draw(st.integers(1, 3))):
+            L = draw(st.integers(1, 3))
+            x = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=d * L, max_size=d * L))
+            a = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=a_dim, max_size=a_dim))
+            label = draw(st.integers(0, y_dim - 1) | st.none() if is_target
+                         else st.integers(0, y_dim - 1))
+            role = draw(st.sampled_from((None, ROLE_LABELED, ROLE_UNLABELED, ROLE_TEST))) \
+                if is_target else None
+            points.append(DataPoint(x=np.array(x).reshape(d, L), a=a,
+                                    y=None if label is None else np.eye(y_dim)[label], role=role))
+        domains.append(points)
+    return MultiDomainDataset(d=d, a_dim=a_dim, y_dim=y_dim, domains=domains)
+
+
+@settings(max_examples=50, deadline=None)
+@given(datasets())
+def test_save_load_round_trips_bit_for_bit(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.json")
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+    assert (loaded.d, loaded.a_dim, loaded.y_dim) == (ds.d, ds.a_dim, ds.y_dim)
+
+    def bits(points):
+        return [(p.x.shape, p.x.tobytes(), p.a.tobytes(),
+                 None if p.y is None else p.y.tobytes(), p.role) for p in points]
+
+    assert [bits(dom) for dom in loaded.domains] == [bits(dom) for dom in ds.domains]
+
+
+@settings(max_examples=50, deadline=None)
+@given(datasets())
+def test_training_view_hides_test_points_and_unlabeled_labels(ds):
+    labels = [[id(p.y) for p in dom] for dom in ds.domains]
+    view = training_view(ds)
+    assert all(v is dom for v, dom in zip(view.domains[:-1], ds.domains[:-1]))
+    assert [id(p.x) for p in view.target] == [id(p.x) for p in ds.target if p.role != ROLE_TEST]
+    for p in view.target:
+        assert p.role != ROLE_TEST
+        assert p.role != ROLE_UNLABELED or p.y is None
+    # the dataset itself keeps every label
+    assert [[id(p.y) for p in dom] for dom in ds.domains] == labels

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convtransfer import model
 from convtransfer.convnet import ConvBlock, conv_forward
 from convtransfer.dataset import DataError
 from convtransfer.model import (
@@ -30,18 +29,11 @@ def make_params(seed=0, scale=0.1):
     return init_params(DIMS, Rng(seed), scale)
 
 
-def zero_params():
-    return ModelParams(
-        dims=DIMS,
-        f_a=ConvBlock(np.zeros((2, 3, 2)), np.zeros(2)),
-        f_0=ConvBlock(np.zeros((3, 3, 2)), np.zeros(3)),
-        f_dom=[ConvBlock(np.zeros((2, 3, 2)), np.zeros(2)),
-               ConvBlock(np.zeros((3, 3, 2)), np.zeros(3))],
-        theta=np.zeros((4, 2)),
-        u0=np.zeros((3, 2)),
-        ua=np.zeros((2, 2)),
-        u_dom=[np.zeros((2, 2)), np.zeros((3, 2))],
-    )
+def zero_params(dims=DIMS):
+    params = init_params(dims, Rng(0))
+    for _, _, arr in params.named_tensors():
+        arr[...] = 0.0
+    return params
 
 
 class TestRepresent:
@@ -158,6 +150,8 @@ def test_load_rejects_malformed_model_files(tmp_path):
         "version": lambda doc: doc.update(format_version=2),
         "missing": lambda doc: doc["params"].pop("u_dom.1"),
         "shape": lambda doc: doc["params"]["theta"].update(shape=[2, 4]),
+        # equal to the tensors' 3 but not an integer
+        "float dims": lambda doc: doc["dims"].update(d=3.0),
         # json reads NaN and Infinity as floats
         "nan": lambda doc: doc["params"]["u0"]["data"].__setitem__(0, float("nan")),
         "infinity": lambda doc: doc["params"]["theta"]["data"].__setitem__(1, float("inf")),
@@ -224,12 +218,12 @@ def put_tensor(params, key, arr):
 @settings(max_examples=50, deadline=None)
 @given(random_dims())
 def test_params_reject_every_tensor_with_one_dimension_off(dims):
-    dataclasses.replace(model.zero_params(dims))  # the right shapes pass
-    for _, key, arr in model.zero_params(dims).named_tensors():
+    dataclasses.replace(zero_params(dims))  # the right shapes pass
+    for _, key, arr in zero_params(dims).named_tensors():
         for axis in range(arr.ndim):
             shape = list(arr.shape)
             shape[axis] += 1
-            params = model.zero_params(dims)
+            params = zero_params(dims)
             put_tensor(params, key, np.zeros(shape))
             with pytest.raises(ValueError, match=re.escape(key)):
                 dataclasses.replace(params)  # reruns ModelParams' checks

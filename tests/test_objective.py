@@ -8,6 +8,7 @@ from convtransfer.convnet import ConvBlock
 from convtransfer.dataset import (
     ROLE_TEST,
     ROLE_UNLABELED,
+    DataError,
     DataPoint,
     MultiDomainDataset,
     NeighborGraph,
@@ -277,6 +278,12 @@ class TestObjective:
         view = training_view(ds)
         objective(make_params(21), view, None, CFG)
         gradient(make_params(21), view, None, CFG)
+
+    def test_empty_domain_rejected(self):
+        ds = tiny_dataset(15)
+        ds.domains[0] = []
+        with pytest.raises(DataError, match="domain 0 is empty"):
+            pack(make_params(15), ds, None)
 
     def test_deterministic(self):
         ds = tiny_dataset(17)

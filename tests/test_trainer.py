@@ -15,7 +15,7 @@ from convtransfer.dataset import (
     split_target,
     training_view,
 )
-from convtransfer.model import Dims, init_params, zero_params
+from convtransfer.model import Dims, init_params
 from convtransfer.numeric import Rng
 from convtransfer.objective import (
     CSV_HEADER,
@@ -102,6 +102,17 @@ class TestTrainLoop:
         msg = str(exc.value)
         assert f"iteration {exc.value.iteration} " in msg and "tau 1000.0" in msg
         assert any(f"{f.name} is " in msg for f in fields(ObjectiveBreakdown))
+
+    def test_divergence_at_the_initial_state_is_iteration_0(self):
+        # finite inputs near 1e200 overflow the initial objective
+        ds, _ = small_instance(0)
+        for dom in ds.domains:
+            for p in dom:
+                p.x *= 1e200
+        with pytest.raises(DivergenceError) as exc:
+            train(ds, None, TrainConfig(tau=1e-4, max_iters=5, seed=0))
+        assert exc.value.iteration == 0
+        assert "iteration 0 " in str(exc.value)
 
     def test_divergence_names_the_first_non_finite_term(self):
         bd = ObjectiveBreakdown(aux_cls=1.0, tgt_cls=math.nan, attr_map=2.0,
@@ -193,7 +204,9 @@ class TestEvaluateAndView:
         ds, _ = small_instance(0)
         dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=4, ma=4,
                     mt=(4,) * ds.n_domains, w=2)
-        params = zero_params(dims)
+        params = init_params(dims, Rng(0))
+        for _, _, arr in params.named_tensors():
+            arr[...] = 0.0
         points = ds.domains[0]
         assert evaluate(params, [p for p in points if p.y[0] == 1.0], 0) == 1.0
         assert evaluate(params, [p for p in points if p.y[1] == 1.0], 0) == 0.0
