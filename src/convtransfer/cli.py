@@ -150,12 +150,18 @@ def cmd_synth(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Fail before any work if an output file cannot be written: its
-    directory must exist and it must not be a directory itself."""
-    for path in paths:
+def _check_writable(cfg: dict, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
+    """Fail before any work if an output key's file is an input's or another output's,
+    or cannot be written: its directory must exist and it must not be a directory."""
+    named = {os.path.realpath(cfg[key]): key for key in inputs}
+    for key in outputs:
+        path = cfg[key]
         if path is None:
             continue
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"{key} and {named[real]} name the same file {path}")
+        named[real] = key
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"cannot write {path}: directory {folder} does not exist")
@@ -199,7 +205,7 @@ def _accuracy_text(acc: float | None) -> str:
 
 def cmd_train(cfg: dict) -> int:
     tc = _config(TrainConfig, cfg, TRAIN_KEYS, seed=cfg["seed"])
-    _check_writable(cfg["model_out"], cfg["curve_out"], cfg["report_out"])
+    _check_writable(cfg, ("data",), ("model_out", "curve_out", "report_out"))
     ds = _load_split(cfg)
     graph = build_neighbor_graph(ds.target_train_points(), tc.knn_k)
     params, rows = train(ds, graph, tc)
@@ -215,7 +221,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    _check_writable(cfg["report_out"])
+    _check_writable(cfg, ("model", "data"), ("report_out",))
     params = load_params(cfg["model"])
     ds = _load_split(cfg)
     _check_compat(params, ds)

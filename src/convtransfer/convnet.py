@@ -84,10 +84,10 @@ def pad_columns(xs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-def conv_forward_batch(block: ConvBlock, x: np.ndarray,
-                       lengths: np.ndarray) -> tuple[np.ndarray, BatchTrace]:
+def conv_forward_batch(block: ConvBlock, x: np.ndarray, lengths: np.ndarray) -> BatchTrace:
     """conv_forward on n points at once: x is (d, L, n) as from pad_columns,
-    lengths the points' own column counts. Returns (n, m) outputs and the trace.
+    lengths the points' own column counts. Returns the trace, whose output
+    holds the (n, m) activations.
 
     Every output, pre-activation and argmax equals conv_forward's on the
     point alone, bit for bit.
@@ -113,9 +113,7 @@ def conv_forward_batch(block: ConvBlock, x: np.ndarray,
     # ReLU, then the first maximum: a masked position (activation 0) never
     # comes before a valid one, so it never wins
     act = np.maximum(pre, 0.0, out=term)
-    argmax = act.argmax(axis=1)
-    out = act.max(axis=1).T
-    return out, BatchTrace(pre=pre, argmax=argmax, x_padded=x, output=out)
+    return BatchTrace(pre=pre, argmax=act.argmax(axis=1), x_padded=x, output=act.max(axis=1).T)
 
 
 def conv_backward_batch(block: ConvBlock, trace: BatchTrace,
@@ -146,8 +144,8 @@ def conv_forward(block: ConvBlock, x) -> tuple[np.ndarray, BatchTrace]:
     a one-point batch.
     """
     x = as_matrix(x, "conv input")
-    out, trace = conv_forward_batch(block, x[:, :, None], np.array([x.shape[1]]))
-    return out[0], trace
+    trace = conv_forward_batch(block, x[:, :, None], np.array([x.shape[1]]))
+    return trace.output[0], trace
 
 
 def conv_backward(block: ConvBlock, trace: BatchTrace, upstream):

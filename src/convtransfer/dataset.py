@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -148,7 +149,7 @@ def split_target(ds: MultiDomainDataset, seed: int) -> list[str]:
 
 @dataclass
 class NeighborGraph:
-    """Symmetric 0/1 adjacency with zero diagonal, stored as sorted lists."""
+    """Symmetric 0/1 adjacency with zero diagonal, stored as sorted, distinct lists."""
 
     n: int
     neighbors: list[list[int]]
@@ -162,17 +163,21 @@ class NeighborGraph:
                     raise DataError(f"node {i}: neighbor {j} out of range")
                 if j == i:
                     raise DataError(f"node {i}: self-loop not allowed")
-                if i not in self.neighbors[j]:
-                    raise DataError(f"edge {i}-{j} is not symmetric")
+            if any(j >= k for j, k in zip(adj, adj[1:])):
+                raise DataError(f"node {i}: neighbors must be sorted and distinct")
+        m = self.matrix()
+        if (m > m.T).any():
+            raise DataError("edge {}-{} is not symmetric".format(*np.argwhere(m > m.T)[0]))
 
     def matrix(self) -> np.ndarray:
+        """The n x n 0/1 adjacency; np.nonzero lists its edges in list order."""
         m = np.zeros((self.n, self.n))
-        for i, adj in enumerate(self.neighbors):
-            for j in adj:
-                m[i, j] = 1.0
+        m[np.repeat(np.arange(self.n), [len(adj) for adj in self.neighbors]),
+          np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp)] = 1.0
         return m
 
 
+@np.errstate(over="ignore")  # a distance that overflows is inf and sorts last, see below
 def build_neighbor_graph(points: list[DataPoint], k: int) -> NeighborGraph:
     """k-nearest-neighbor graph over column-mean feature vectors, Euclidean
     distance, symmetrized by union; distance ties break toward lower index."""

@@ -36,13 +36,12 @@ class Dims:
     w: int
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name != "mt" and (isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                                   or v < 1):
-                raise ValueError(f"dimension {f.name} must be a positive integer, got {v!r}")
-        if len(self.mt) < 1 or any(int(m) < 1 for m in self.mt):
+        if len(self.mt) < 1:
             raise ValueError(f"per-domain output sizes must be positive, got {self.mt}")
+        for f in fields(self):
+            for v in self.mt if f.name == "mt" else (getattr(self, f.name),):
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                    raise ValueError(f"dimension {f.name} must be a positive integer, got {v!r}")
         object.__setattr__(self, "mt", tuple(int(m) for m in self.mt))
 
     @property

@@ -130,13 +130,9 @@ def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
     labeled = np.array([p.y is not None for p in points])
     y = np.stack([np.zeros(y_dim) if p.y is None else p.y for p in points])
     bounds = np.cumsum([0] + [len(pts) for _, pts in segments])
-    edges = None
-    if graph is not None:
-        edges = (np.array([i for i, adj in enumerate(graph.neighbors) for _ in adj], dtype=np.intp),
-                 np.array([j for adj in graph.neighbors for j in adj], dtype=np.intp))
     return Batch(x=x, lengths=lengths, a=np.stack([p.a for p in points]), y=y, labeled=labeled,
                  segments=[(t, slice(bounds[k], bounds[k + 1])) for k, (t, _) in enumerate(segments)],
-                 edges=edges)
+                 edges=None if graph is None else np.nonzero(graph.matrix()))
 
 
 def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | None) -> Batch:
@@ -158,22 +154,22 @@ def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | Non
 
 @dataclass
 class Forward:
-    """Encoder outputs, traces and head scores of every point of a Batch, one
-    output and trace per branch, in _branches order."""
+    """Encoder traces and head scores of every point of a Batch, one trace per
+    branch in _branches order; a trace's output holds its (rows, m) outputs."""
 
-    outputs: list[np.ndarray]   # per branch, (rows, m)
     traces: list[BatchTrace]    # per branch
     scores: np.ndarray          # (n, Y)
 
 
 def _branches(params: ModelParams, b: Batch) -> list[tuple[str, ConvBlock, np.ndarray, slice]]:
-    """Each branch run over a Batch as (suffix, encoder, head, rows): "0"
-    (f_0, u_0) and "a" (f_a, u_a) over every row, then "t" (f_t, u_t, with t
-    from 1 as in named_tensors()) over each domain segment. Prefixing the
+    """Each branch run over a Batch as (suffix, encoder, head, rows), in
+    named_tensors() order: "0" (f_0, u_0) over every row, "t" (f_t, u_t, t from
+    1) over each domain segment, "a" (f_a, u_a) over every row. Prefixing the
     suffix with "f_" or "u_" gives the encoder's or the head's block name."""
     every = slice(None)
-    return [("0", params.f_0, params.u0, every), ("a", params.f_a, params.ua, every),
-            *((str(t + 1), params.f_dom[t], params.u_dom[t], rows) for t, rows in b.segments)]
+    return [("0", params.f_0, params.u0, every),
+            *((str(t + 1), params.f_dom[t], params.u_dom[t], rows) for t, rows in b.segments),
+            ("a", params.f_a, params.ua, every)]
 
 
 def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
@@ -187,19 +183,14 @@ def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
     block), and the head scores are recomputed; the result equals a fresh
     forward bit for bit, and prev is left as it was.
     """
-    outputs, traces = [], []
-    for k, (s, enc, _, rows) in enumerate(_branches(params, b)):
-        if prev is None or "f_" + s in changed:
-            out, tr = conv_forward_batch(enc, b.x[:, :, rows], b.lengths[rows])
-        else:
-            out, tr = prev.outputs[k], prev.traces[k]
-        outputs.append(out)
-        traces.append(tr)
-    r0, ra, *rt = outputs
+    traces = [conv_forward_batch(enc, b.x[:, :, rows], b.lengths[rows])
+              if prev is None or "f_" + s in changed else prev.traces[k]
+              for k, (s, enc, _, rows) in enumerate(_branches(params, b))]
+    r0, *rt, ra = (tr.output for tr in traces)
     scores = np.empty((len(r0), params.dims.y_dim))
     for (t, rows), out in zip(b.segments, rt):
         scores[rows] = head_scores(params, r0[rows], out, ra[rows], t)
-    return Forward(outputs=outputs, traces=traces, scores=scores)
+    return Forward(traces=traces, scores=scores)
 
 
 def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
@@ -215,7 +206,7 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     """
     T = params.n_domains
     tgt = b.segments[-1][1]
-    r0, ra, *rt = f.outputs
+    r0, *rt, ra = (tr.output for tr in f.traces)
     err = np.where(b.labeled[:, None], f.scores - b.y, 0.0)
     sq = np.einsum("ij,ij->i", err, err)
     aux, tgt_cls = float(sq[:tgt.start].sum()), float(sq[tgt].sum())
@@ -239,8 +230,8 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     # head and theta blocks; "0.0 +" starts each sum from +0.0, as conv_backward_batch does
     branches = _branches(params, b)
     gsc = 2.0 * err  # classification terms; unlabeled rows are zero
-    gs = {"u_" + s: (0.0 + out.T @ gsc[rows],)
-          for (s, _, _, rows), out in zip(branches, f.outputs) if "u_" + s in grad}
+    gs = {"u_" + s: (0.0 + tr.output.T @ gsc[rows],)
+          for (s, _, _, rows), tr in zip(branches, f.traces) if "u_" + s in grad}
     if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
         gs["theta"] = (np.zeros_like(params.theta) if cfg.c1 == 0.0
                        else 0.0 + -2.0 * cfg.c1 * (b.a.T @ g_attr),)
@@ -248,7 +239,7 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
         return bd, {block: gs[block] for block in grad}
 
     ups = [gsc[rows] @ head.T for _, _, head, rows in branches]
-    up0, upa = ups[:2]
+    up0, upa = ups[0], ups[-1]
 
     # attribute-map term (weight c1)
     if cfg.c1 != 0.0:
@@ -267,7 +258,7 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
         dfeat *= 4.0 * cfg.c3
         m0, mt = params.dims.m0, params.dims.mt[T - 1]
         up0[tgt] += dfeat[:, :m0]
-        ups[-1] += dfeat[:, m0:m0 + mt]
+        ups[-2] += dfeat[:, m0:m0 + mt]
         upa[tgt] += dfeat[:, m0 + mt:]
 
     # backward through the encoders of the asked-for blocks

@@ -204,6 +204,19 @@ class TestTrain:
         assert "iteration 6 " in lines[0] and "tau 0.001" in lines[0]
         assert re.search(r": (aux_cls|tgt_cls|attr_map|dom_match|neighbor|total) is ", lines[0])
 
+    def test_overflowing_data_diverges_with_one_stderr_line(self, tmp_path):
+        # finite entries whose squares overflow: in the kNN distances first,
+        # then in the objective at iteration 0
+        data = synth(tmp_path)
+        doc = json.loads(data.read_text())
+        for dom in doc["domains"]:
+            for p in dom["points"]:
+                p["x"] = [[v * 1e200 for v in row] for row in p["x"]]
+        data.write_text(json.dumps(doc))
+        done = run_cli(tmp_path, *train_args(data, "m.json", "c.csv"))
+        assert done.returncode == EXIT_DIVERGED
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
     def test_invalid_train_value_is_config_error(self, tmp_path, capsys):
         data = synth(tmp_path)
         for key, value in [("init_range", "-1"), ("init_range", "nan"), ("init_range", "inf"),
@@ -433,6 +446,30 @@ class TestGradcheck:
             rc = main(["gradcheck", "--set", "instances=1", "--set", "eps=1e300"])
         assert rc == EXIT_GRADCHECK
         assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["train", "--data", "d.json", "--model", "d.json", "--set", "curve_out=c.csv"],
+     "model_out and data"),
+    (["train", "--data", "d.json", "--model", "m.json", "--set", "curve_out=m.json"],
+     "curve_out and model_out"),
+    (["train", "--data", "d.json", "--model", "./d.json", "--set", "curve_out=c.csv"],
+     "model_out and data"),
+    (["eval", "--model", "m.json", "--data", "d.json", "--out", "m.json"],
+     "report_out and model"),
+])
+def test_output_naming_an_input_or_another_output_is_config_error(
+        argv, keys, tmp_path, capsys, monkeypatch):
+    synth(tmp_path, name="d.json")
+    assert main(train_args(tmp_path / "d.json", tmp_path / "m.json", tmp_path / "c.csv")) == EXIT_OK
+    (tmp_path / "c.csv").unlink()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train":
+        argv = argv + ["--set", "knn_k=1", "--set", "max_iters=5"]
+    assert main(argv) == EXIT_CONFIG
+    assert keys in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # settings that their command does not read: flags of other commands, and

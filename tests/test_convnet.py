@@ -239,7 +239,8 @@ def ragged_batches(draw):
 def test_batched_forward_equals_naive_per_point_forward(case):
     block, xs, _ = case
     x, lengths = pad_columns(xs)
-    out, trace = conv_forward_batch(block, x, lengths)
+    trace = conv_forward_batch(block, x, lengths)
+    out = trace.output
     for i, xi in enumerate(xs):
         pre = naive_pre(block.filters, block.bias, xi)
         P = pre.shape[1]
@@ -257,7 +258,7 @@ def test_batched_forward_equals_naive_per_point_forward(case):
 def test_batched_backward_equals_sequential_per_point_sums(case):
     block, xs, upstream = case
     x, lengths = pad_columns(xs)
-    _, trace = conv_forward_batch(block, x, lengths)
+    trace = conv_forward_batch(block, x, lengths)
     dfilters, dbias = conv_backward_batch(block, trace, upstream)
     want_f = np.zeros_like(block.filters)
     want_b = np.zeros_like(block.bias)

@@ -139,6 +139,9 @@ class TestNeighborGraph:
             assert i not in adj
             assert len(adj) >= k
             assert all(i in g.neighbors[j] for j in adj)
+        # the adjacency matrix lists the edges in adjacency-list order
+        edges = [(i, j) for i, adj in enumerate(g.neighbors) for j in adj]
+        assert [(int(i), int(j)) for i, j in zip(*np.nonzero(g.matrix()))] == edges
 
     def test_overflowing_distances_still_give_a_loop_free_graph(self):
         # every squared distance overflows to inf, so all distances tie
@@ -157,6 +160,8 @@ class TestNeighborGraph:
         ([[3], [], []], "node 0: neighbor 3 out of range"),
         ([[1], [0, 1], []], "node 1: self-loop"),
         ([[1, 2], [0], []], "edge 0-2 is not symmetric"),
+        ([[1, 1], [0], []], "node 0: neighbors must be sorted and distinct"),
+        ([[2, 1], [0], [0]], "node 0: neighbors must be sorted and distinct"),
     ])
     def test_graph_rejects_malformed_adjacency(self, neighbors, message):
         with pytest.raises(DataError, match=message):

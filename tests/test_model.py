@@ -152,6 +152,7 @@ def test_load_rejects_malformed_model_files(tmp_path):
         "shape": lambda doc: doc["params"]["theta"].update(shape=[2, 4]),
         # equal to the tensors' 3 but not an integer
         "float dims": lambda doc: doc["dims"].update(d=3.0),
+        "float mt": lambda doc: doc["dims"].update(mt=[2.5, 3]),
         # json reads NaN and Infinity as floats
         "nan": lambda doc: doc["params"]["u0"]["data"].__setitem__(0, float("nan")),
         "infinity": lambda doc: doc["params"]["theta"]["data"].__setitem__(1, float("inf")),
