@@ -4,9 +4,9 @@ Configuration comes from a flat key=value file (--config) with command-line
 overrides; every run is deterministic given the flags, config file, input
 files, and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (including an
-unreadable input or unwritable output file), 4 divergence, 5 gradient-check
-failure.
+Exit codes: 0 success, 2 configuration error (also synth settings that yield
+invalid data), 3 data error (also an unreadable input, an unwritable output
+file or running out of memory), 4 divergence, 5 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -143,7 +143,12 @@ def _config(cls, cfg: dict, keys, **extra):
 
 
 def cmd_synth(cfg: dict) -> int:
-    ds = generate_synthetic(_config(SynthSpec, cfg, SYNTH_KEYS), cfg["seed"])
+    spec = _config(SynthSpec, cfg, SYNTH_KEYS)
+    _check_writable(cfg, (), ("out",))
+    try:
+        ds = generate_synthetic(spec, cfg["seed"])
+    except DataError as e:
+        raise ConfigError(f"the synth settings produce invalid data: {e}") from e
     save_dataset(ds, cfg["out"])
     print(f"wrote {sum(len(d) for d in ds.domains)} points "
           f"({ds.n_domains} domains) to {cfg['out']}")
@@ -295,6 +300,9 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

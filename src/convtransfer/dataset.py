@@ -72,21 +72,11 @@ class MultiDomainDataset:
         return [p for p in self.target if p.role == role]
 
     def target_train_points(self) -> list[DataPoint]:
-        """Target points the trainer sees (see training_view), in order."""
-        return training_view(self).target
-
-
-def training_view(ds: MultiDomainDataset) -> MultiDomainDataset:
-    """The dataset as the trainer may see it: target test points dropped and
-    the labels of train-unlabeled points hidden. Returns ds itself when
-    there is nothing to drop or hide, as for an untagged target."""
-    if not any(p.role == ROLE_TEST or (p.role == ROLE_UNLABELED and p.y is not None)
-               for p in ds.target):
-        return ds
-    target = [DataPoint(x=p.x, a=p.a, y=None if p.role == ROLE_UNLABELED else p.y, role=p.role)
-              for p in ds.target if p.role != ROLE_TEST]
-    return MultiDomainDataset(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim,
-                              domains=list(ds.domains[:-1]) + [target])
+        """Target points as the trainer may see them, in order: test points
+        dropped and each train-unlabeled point replaced by a label-less copy;
+        every other point is returned itself."""
+        return [DataPoint(x=p.x, a=p.a, role=p.role) if p.role == ROLE_UNLABELED else p
+                for p in self.target if p.role != ROLE_TEST]
 
 
 def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str) -> None:
@@ -233,6 +223,7 @@ class SynthSpec:
             raise DataError(f"l_min={self.l_min} exceeds l_max={self.l_max}")
 
 
+@np.errstate(over="ignore")  # an overflowing draw is inf, which validation rejects
 def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:
     """Deterministic per seed; every point in every domain is labeled
     (target labels are hidden later by the split)."""

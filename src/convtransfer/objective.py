@@ -10,9 +10,9 @@ The training objective has five terms:
   5. neighbor smoothness of the concatenated target representation over a
      fixed 0/1 adjacency, weighted by c3.
 
-The objective sees every point of the dataset it is given, labels
-included, so callers pass dataset.training_view(ds); a target that still
-holds test points or labeled train-unlabeled points is rejected.
+The objective sees the auxiliary points and the target points the trainer
+may see (MultiDomainDataset.target_train_points): pack drops target test
+points and hides the labels of train-unlabeled points itself.
 
 Every entry point packs its points once (pack, Batch); forward runs the
 batched encoders, and value_and_grad serves the objective, the sub-gradient
@@ -34,7 +34,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .convnet import BatchTrace, ConvBlock, conv_backward_batch, conv_forward_batch, pad_columns
-from .dataset import ROLE_TEST, DataError, DataPoint, MultiDomainDataset, NeighborGraph, training_view
+from .dataset import ROLE_TEST, DataError, DataPoint, MultiDomainDataset, NeighborGraph
 from .model import Dims, ModelParams, head_scores, init_params
 # not called here: represent stays importable from this module, whose
 # namespace perfbench's tracer self-check wraps and calls it through
@@ -118,7 +118,6 @@ class Batch:
     lengths: np.ndarray    # (n,) each point's own column count
     a: np.ndarray          # (n, A) attribute vectors
     y: np.ndarray          # (n, Y) labels; zero rows for unlabeled points
-    labeled: np.ndarray    # (n,) bool
     segments: list[tuple[int, slice]]  # (domain index, rows)
     edges: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -127,29 +126,26 @@ def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
            graph: NeighborGraph | None = None) -> Batch:
     points = [p for _, pts in segments for p in pts]
     x, lengths = pad_columns([p.x for p in points])
-    labeled = np.array([p.y is not None for p in points])
     y = np.stack([np.zeros(y_dim) if p.y is None else p.y for p in points])
     bounds = np.cumsum([0] + [len(pts) for _, pts in segments])
-    return Batch(x=x, lengths=lengths, a=np.stack([p.a for p in points]), y=y, labeled=labeled,
+    return Batch(x=x, lengths=lengths, a=np.stack([p.a for p in points]), y=y,
                  segments=[(t, slice(bounds[k], bounds[k + 1])) for k, (t, _) in enumerate(segments)],
                  edges=None if graph is None else np.nonzero(graph.matrix()))
 
 
 def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | None) -> Batch:
-    """Check the inputs and pack every point of ds, one segment per domain;
-    `graph` has one node per target point."""
+    """Check the inputs and pack every auxiliary point and ds.target_train_points(),
+    one segment per domain; `graph` has one node per packed target point."""
     _check_compat(params, ds)
-    if training_view(ds) is not ds:
-        raise ValueError("the target domain holds test points or labeled train-unlabeled "
-                         "points, which the trainer must not see; pass training_view(ds)")
-    if graph is not None and graph.n != len(ds.target):
-        raise ValueError(
-            f"neighbor graph covers {graph.n} points but the target domain has {len(ds.target)}"
-        )
-    for t, dom in enumerate(ds.domains):
-        if not dom:
+    seen = ds.target_train_points()
+    if graph is not None and graph.n != len(seen):
+        raise ValueError(f"neighbor graph covers {graph.n} points but the trainer sees "
+                         f"{len(seen)} target points")
+    segments = [*enumerate(ds.domains[:-1]), (ds.n_domains - 1, seen)]
+    for t, pts in segments:
+        if not pts:
             raise DataError(f"domain {t} is empty; mean matching undefined")
-    return _batch(list(enumerate(ds.domains)), ds.y_dim, graph)
+    return _batch(segments, ds.y_dim, graph)
 
 
 @dataclass
@@ -207,7 +203,7 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     T = params.n_domains
     tgt = b.segments[-1][1]
     r0, *rt, ra = (tr.output for tr in f.traces)
-    err = np.where(b.labeled[:, None], f.scores - b.y, 0.0)
+    err = np.where(b.y.any(axis=1, keepdims=True), f.scores - b.y, 0.0)
     sq = np.einsum("ij,ij->i", err, err)
     aux, tgt_cls = float(sq[:tgt.start].sum()), float(sq[tgt].sum())
     g_attr = ra - b.a @ params.theta
@@ -272,7 +268,8 @@ def objective(params: ModelParams, ds: MultiDomainDataset,
               graph: NeighborGraph | None, cfg: TrainConfig) -> ObjectiveBreakdown:
     """All five terms (unweighted) plus the weighted total, in one forward pass.
 
-    Every labeled point counts; `graph` has one node per target point.
+    Every labeled point the trainer sees counts; `graph` has one node per
+    point of ds.target_train_points().
     """
     b = pack(params, ds, graph)
     return value_and_grad(params, b, forward(params, b), cfg, ())[0]
@@ -338,7 +335,7 @@ def write_trajectory_csv(rows: list[TrajectoryRow], path: str) -> None:
 @np.errstate(all="ignore")
 def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
           cfg: TrainConfig) -> tuple[ModelParams, list[TrajectoryRow]]:
-    """Run the fixed-step sub-gradient loop on training_view(ds).
+    """Run the fixed-step sub-gradient loop on the points the trainer sees.
 
     `graph` has one node per point of ds.target_train_points(). `joint` mode
     takes one full-gradient step per iteration; `block-cyclic` sweeps the
@@ -350,14 +347,13 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     also yields the next iteration's first gradient.
     """
     T = ds.n_domains
-    view = training_view(ds)
-    if not any(p.y is not None for p in view.target):
+    if not any(p.y is not None for p in ds.target_train_points()):
         raise DataError("training requires at least one labeled target point")
 
     dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim,
                 m0=cfg.m0, ma=cfg.ma, mt=(cfg.mt,) * T, w=cfg.w)
     params = init_params(dims, Rng(cfg.seed), cfg.init_range)
-    batch = pack(params, view, graph)
+    batch = pack(params, ds, graph)
     test_points = ds.target_points(ROLE_TEST)
     test_batch = _eval_batch(params, test_points, T - 1) if test_points else None
     # joint mode steps every block at once; block-cyclic steps one block per

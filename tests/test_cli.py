@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import importlib
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convtransfer import cli
+from convtransfer import cli, dataset
 from convtransfer.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -27,10 +28,11 @@ from convtransfer.dataset import (
     load_dataset,
     save_dataset,
     split_target,
-    training_view,
 )
 from convtransfer.model import Dims, init_params, save_params
 from convtransfer.numeric import Rng
+
+objective_module = importlib.import_module("convtransfer.objective")
 
 SMALL_SYNTH = ["--set", "domains=2", "--set", "points_per_domain=8",
                "--set", "feature_dim=4", "--set", "attr_dim=5",
@@ -91,6 +93,8 @@ class TestSynth:
             (["synth", "--out", out, "--set", "noise=nan"], "noise"),
             (["synth", "--out", out, "--set", "margin=inf"], "margin"),
             (["synth", "--out", out, "--set", "shift=nan"], "shift"),
+            # valid settings whose draws overflow to non-finite points
+            (["synth", "--out", out, "--set", "noise=1e308"], "synth settings"),
             (["synth", "--out", out, "--seed", str(2**64)], "seed"),
             (["gradcheck", "--seed", str(2**64)], "seed"),
             # the per-instance seeds run from seed to seed + instances - 1
@@ -103,6 +107,14 @@ class TestSynth:
             assert main(argv) == EXIT_CONFIG, argv
             assert key in capsys.readouterr().err, argv
         assert not (tmp_path / "x.json").exists()
+
+    def test_unwritable_output_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "generate_synthetic", lambda *args: calls.append(args))
+        out = tmp_path / "absent" / "d.json"
+        assert main(["synth", "--out", str(out)]) == EXIT_DATA
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
 
     def test_huge_margin_does_not_overflow(self, tmp_path):
         # prototype distances are compared without squaring, so a margin
@@ -250,7 +262,7 @@ class TestTrain:
         assert rc == EXIT_OK
         assert [p.role for p in seen["data"].target] == tags
         train_points = [p for p in ds.target if p.role != ROLE_TEST]
-        view = training_view(seen["data"]).target
+        view = seen["data"].target_train_points()
         assert [p.x.tobytes() for p in view] == [p.x.tobytes() for p in train_points]
         assert seen["graph"] == build_neighbor_graph(train_points, 5)
 
@@ -348,6 +360,31 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert str(paths[bad]) in capsys.readouterr().err
         assert not any(p.exists() for p in paths.values())
+
+    def test_validates_the_dataset_once(self, tmp_path, monkeypatch):
+        data = synth(tmp_path)
+        calls = []
+        real_validate = dataset.validate_dataset
+
+        def counting(ds):
+            calls.append(ds)
+            real_validate(ds)
+
+        monkeypatch.setattr(dataset, "validate_dataset", counting)
+        assert main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv")) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_out_of_memory_is_one_line_data_error(self, tmp_path, capsys, monkeypatch):
+        data = synth(tmp_path)
+        msg = "Unable to allocate 89.4 GiB for an array with shape (1000000000, 4, 3)"
+
+        def no_memory(*args):
+            raise MemoryError(msg)
+
+        monkeypatch.setattr(objective_module, "init_params", no_memory)
+        rc = main(train_args(data, tmp_path / "m.json", tmp_path / "c.csv"))
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"out of memory: {msg}\n"
 
     def test_missing_data_file_exit_code(self, tmp_path):
         rc = main(train_args(tmp_path / "absent.json", tmp_path / "m.json",

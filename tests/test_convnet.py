@@ -1,5 +1,6 @@
 import re
 import runpy
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from convtransfer.convnet import (
     pad_columns,
 )
 from convtransfer.numeric import Rng
+from convtransfer.objective import CSV_HEADER
 
 
 def naive_forward(filters, bias, x):
@@ -270,14 +272,23 @@ def test_batched_backward_equals_sequential_per_point_sums(case):
     assert dbias.tobytes() == want_b.tobytes()
 
 
-@pytest.mark.parametrize("demo", ["encoder_basics", "gradient_check"])
-def test_encoder_demo_runs(capsys, demo):
+@pytest.mark.parametrize("demo", ["encoder_basics", "gradient_check", "convergence_curve"])
+def test_encoder_demo_runs(capsys, tmp_path, demo):
     # encoder_basics reads trace fields and conv_backward's results;
-    # gradient_check pairs every parameter block with its gradient
-    runpy.run_path(str(Path(__file__).parents[1] / "demos" / f"{demo}.py"), run_name="__main__")
+    # gradient_check pairs every parameter block with its gradient;
+    # convergence_curve trains and writes its curve next to itself, here
+    # next to a copy in tmp_path
+    script = tmp_path / f"{demo}.py"
+    shutil.copy(Path(__file__).parents[1] / "demos" / f"{demo}.py", script)
+    runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     if demo == "encoder_basics":
         assert "max position per filter" in out and "gradient w.r.t. the filters" in out
+        return
+    if demo == "convergence_curve":
+        curve = tmp_path / "convergence_curve.csv"
+        assert curve.read_text().splitlines()[0] == CSV_HEADER
+        assert out.rstrip().endswith(f"curve written to {curve}")
         return
     instances = out.split("instance ")[1:]
     assert len(instances) == 3

@@ -23,7 +23,6 @@ from convtransfer.dataset import (
     save_dataset,
     split_roles,
     split_target,
-    training_view,
 )
 from convtransfer.numeric import Rng
 
@@ -377,11 +376,15 @@ def test_save_load_round_trips_bit_for_bit(ds):
 @given(datasets())
 def test_training_view_hides_test_points_and_unlabeled_labels(ds):
     labels = [[id(p.y) for p in dom] for dom in ds.domains]
-    view = training_view(ds)
-    assert all(v is dom for v, dom in zip(view.domains[:-1], ds.domains[:-1]))
-    assert [id(p.x) for p in view.target] == [id(p.x) for p in ds.target if p.role != ROLE_TEST]
-    for p in view.target:
-        assert p.role != ROLE_TEST
-        assert p.role != ROLE_UNLABELED or p.y is None
+    view = ds.target_train_points()
+    assert [id(p.x) for p in view] == [id(p.x) for p in ds.target if p.role != ROLE_TEST]
+    for p, seen in zip((p for p in ds.target if p.role != ROLE_TEST), view):
+        assert seen.role != ROLE_TEST
+        assert seen.role != ROLE_UNLABELED or seen.y is None
+        # a train-unlabeled point is copied without its label, any other is itself
+        if p.role == ROLE_UNLABELED:
+            assert seen.x is p.x and seen.a is p.a and seen.role == p.role and seen is not p
+        else:
+            assert seen is p
     # the dataset itself keeps every label
     assert [[id(p.y) for p in dom] for dom in ds.domains] == labels

@@ -13,7 +13,6 @@ from convtransfer.dataset import (
     build_neighbor_graph,
     generate_synthetic,
     split_target,
-    training_view,
 )
 from convtransfer.model import Dims, init_params
 from convtransfer.numeric import Rng
@@ -88,7 +87,7 @@ class TestTrainLoop:
         cfg = TrainConfig(tau=1e-4, max_iters=3, seed=5, update_mode=mode)
         params, rows = train(ds, graph, cfg)
         assert len(rows) == 4
-        assert rows[-1].breakdown == objective(params, training_view(ds), graph, cfg)
+        assert rows[-1].breakdown == objective(params, ds, graph, cfg)
 
     def test_divergence_raises_with_iteration(self):
         ds, graph = small_instance(0)
@@ -133,20 +132,20 @@ def reference_block_cyclic(ds, graph, cfg):
     """Block-cyclic descent that recomputes the full forward and the full
     gradient before every block step; returns the parameters and, per
     iteration, the breakdown and the target test accuracy."""
-    view, T = training_view(ds), ds.n_domains
+    T = ds.n_domains
     dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=cfg.m0, ma=cfg.ma,
                 mt=(cfg.mt,) * T, w=cfg.w)
     params = init_params(dims, Rng(cfg.seed), cfg.init_range)
 
     def row():
-        return objective(params, view, graph, cfg), evaluate(params, ds.target_points(ROLE_TEST),
+        return objective(params, ds, graph, cfg), evaluate(params, ds.target_points(ROLE_TEST),
                                                              T - 1)
 
     rows = [row()]
     blocks = params.blocks()
     for _ in range(cfg.max_iters):
         for block in blocks:
-            gs = gradient(params, view, graph, cfg)
+            gs = gradient(params, ds, graph, cfg)
             for arr, grad in zip(blocks[block], gs[block], strict=True):
                 arr -= cfg.tau * grad
         rows.append(row())
@@ -213,18 +212,20 @@ class TestEvaluateAndView:
 
     def test_training_view_hides_test_and_unlabeled(self):
         ds, _ = small_instance(1)
-        view = training_view(ds)
+        view = ds.target_train_points()
         n_test = sum(1 for p in ds.target if p.role == ROLE_TEST)
-        assert len(view.target) == len(ds.target) - n_test
-        assert all(p.role != ROLE_TEST for p in view.target)
-        labeled = [p for p in view.target if p.y is not None]
+        assert len(view) == len(ds.target) - n_test
+        assert all(p.role != ROLE_TEST for p in view)
+        labeled = [p for p in view if p.y is not None]
         assert 0 < len(labeled) < len(ds.target)
 
     def test_training_view_identity_without_roles(self):
         spec = SynthSpec(domains=2, points_per_domain=6, feature_dim=4, attr_dim=5,
                          classes=2, l_min=3, l_max=4)
         ds = generate_synthetic(spec, seed=7)
-        assert training_view(ds) is ds
+        view = ds.target_train_points()
+        assert len(view) == len(ds.target)
+        assert all(p is q for p, q in zip(view, ds.target))
 
 
 class TestTrajectoryCsv:
