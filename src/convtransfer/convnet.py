@@ -77,10 +77,14 @@ def pad_columns(xs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
     Points run along the last axis so that one window offset of every point
     is one contiguous (P, n) slab."""
-    lengths = np.array([x.shape[1] for x in xs], dtype=np.intp)
-    out = np.zeros((xs[0].shape[0], int(lengths.max()), len(xs)))
-    for i, x in enumerate(xs):
-        out[:, :x.shape[1], i] = x
+    n = len(xs)
+    lengths = np.fromiter((x.shape[1] for x in xs), dtype=np.intp, count=n)
+    cols = np.concatenate(xs, axis=1)
+    # column k of cols is column k - starts[i] of the point i it came from
+    pages = np.repeat(np.arange(n), lengths)
+    starts = np.cumsum(lengths) - lengths
+    out = np.zeros((cols.shape[0], int(lengths.max()), n))
+    out[:, np.arange(cols.shape[1]) - starts[pages], pages] = cols
     return out, lengths
 
 

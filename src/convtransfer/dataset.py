@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class MultiDomainDataset:
                 for p in self.target if p.role != ROLE_TEST]
 
 
-def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str) -> None:
+def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str,
+                 target: bool) -> None:
     if p.x.ndim != 2 or p.x.shape[0] != d or p.x.shape[1] < 1:
         raise DataError(f"{where}: x must be {d}xL with L >= 1, got shape {p.x.shape}")
     if not np.isfinite(p.x).all():
@@ -95,6 +96,37 @@ def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str) -> No
             raise DataError(f"{where}: label must be one-hot, got {p.y.tolist()}")
     if p.role is not None and p.role not in ROLES:
         raise DataError(f"{where}: unknown role {p.role!r}")
+    if not target and p.y is None:
+        raise DataError(f"{where}: auxiliary-domain points must be labeled")
+    if not target and p.role is not None:
+        raise DataError(f"{where}: role tags are only valid in the target domain")
+
+
+def _flag_points(dom: list[DataPoint], d: int, a_dim: int, y_dim: int,
+                 target: bool) -> np.ndarray:
+    """Indices of the points of one domain that _check_point rejects, in order:
+    one Python pass over shapes, roles and labels, then the value checks
+    over the stacked arrays of the points that passed it."""
+    roles = (None, *ROLES) if target else (None,)
+    ok = np.fromiter((p.x.ndim == 2 and p.x.shape[0] == d and p.x.shape[1] >= 1
+                      and p.a.shape == (a_dim,) and p.role in roles
+                      and (target if p.y is None else p.y.shape == (y_dim,)) for p in dom),
+                     dtype=bool, count=len(dom))
+    shaped = np.flatnonzero(ok)
+    if shaped.size:
+        pts = [dom[i] for i in shaped]
+        xs = [p.x for p in pts]
+        lengths = np.fromiter((x.shape[1] for x in xs), dtype=np.intp, count=len(xs))
+        finite = np.isfinite(np.concatenate(xs, axis=1)).all(axis=0)
+        good = np.logical_and.reduceat(finite, np.cumsum(lengths) - lengths)
+        a = np.concatenate([p.a for p in pts]).reshape(-1, a_dim)
+        good &= ((a == 0.0) | (a == 1.0)).all(axis=1)
+        # an unlabeled point stands in as a one-hot row, which passes
+        one_hot = np.eye(1, y_dim)[0]
+        y = np.concatenate([one_hot if p.y is None else p.y for p in pts]).reshape(-1, y_dim)
+        good &= ((y == 0.0) | (y == 1.0)).all(axis=1) & (y.sum(axis=1) == 1.0)
+        ok[shaped] = good
+    return np.flatnonzero(~ok)
 
 
 def validate_dataset(ds: MultiDomainDataset) -> None:
@@ -106,14 +138,10 @@ def validate_dataset(ds: MultiDomainDataset) -> None:
     if ds.n_domains < 1:
         raise DataError("dataset must contain at least one domain")
     for t, dom in enumerate(ds.domains):
-        is_target = t == ds.n_domains - 1
-        for i, p in enumerate(dom):
-            where = f"domain {t}, point {i}"
-            _check_point(p, ds.d, ds.a_dim, ds.y_dim, where)
-            if not is_target and p.y is None:
-                raise DataError(f"{where}: auxiliary-domain points must be labeled")
-            if not is_target and p.role is not None:
-                raise DataError(f"{where}: role tags are only valid in the target domain")
+        target = t == ds.n_domains - 1
+        # _check_point words the message of the first point flagged
+        for i in _flag_points(dom, ds.d, ds.a_dim, ds.y_dim, target):
+            _check_point(dom[i], ds.d, ds.a_dim, ds.y_dim, f"domain {t}, point {i}", target)
 
 
 def split_roles(n: int, rng: Rng) -> list[str]:
@@ -231,12 +259,8 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:
     # class prototypes, redrawn until pairwise distances reach the margin
     for _ in range(1000):
         protos = rng.normal((spec.classes, spec.feature_dim)) * max(spec.margin, 1e-12)
-        ok = True
-        for c in range(spec.classes):
-            for c2 in range(c + 1, spec.classes):
-                if math.dist(protos[c], protos[c2]) < spec.margin:
-                    ok = False
-        if ok:
+        if not any(math.dist(protos[c], protos[c2]) < spec.margin
+                   for c, c2 in combinations(range(spec.classes), 2)):
             break
     else:
         raise DataError("could not place class prototypes at the requested margin")

@@ -8,7 +8,23 @@ bit-identical given a seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+# the most 8-byte draws one array can hold: past it, numpy raises ValueError
+# ("array is too big", "Maximum allowed dimension exceeded"), not MemoryError
+MAX_DRAWS = np.iinfo(np.intp).max // 8
+
+
+def _drawable(shape):
+    """shape, checked to fit the largest array numpy can address."""
+    dims = tuple(map(int, shape if np.iterable(shape) else (shape,)))
+    if math.prod(dims) > MAX_DRAWS:
+        raise MemoryError(f"cannot allocate an array of shape {dims}: "
+                          f"it exceeds the largest possible size")
+    return shape
 
 
 class Rng:
@@ -27,10 +43,10 @@ class Rng:
     def uniform(self, lo: float, hi: float, shape) -> np.ndarray:
         if not lo < hi:
             raise ValueError(f"uniform bounds require lo < hi, got lo={lo}, hi={hi}")
-        return self._gen.uniform(lo, hi, size=shape)
+        return self._gen.uniform(lo, hi, size=_drawable(shape))
 
     def normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(size=shape)
+        return self._gen.standard_normal(size=_drawable(shape))
 
     def integers(self, lo: int, hi: int, shape=None):
         # draws in [lo, hi)

@@ -125,10 +125,13 @@ class Batch:
 def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
            graph: NeighborGraph | None = None) -> Batch:
     points = [p for _, pts in segments for p in pts]
+    n = len(points)
     x, lengths = pad_columns([p.x for p in points])
-    y = np.stack([np.zeros(y_dim) if p.y is None else p.y for p in points])
+    no_label = np.zeros(y_dim)
+    y = np.concatenate([no_label if p.y is None else p.y for p in points]).reshape(n, y_dim)
+    a = np.concatenate([p.a for p in points]).reshape(n, -1)
     bounds = np.cumsum([0] + [len(pts) for _, pts in segments])
-    return Batch(x=x, lengths=lengths, a=np.stack([p.a for p in points]), y=y,
+    return Batch(x=x, lengths=lengths, a=a, y=y,
                  segments=[(t, slice(bounds[k], bounds[k + 1])) for k, (t, _) in enumerate(segments)],
                  edges=None if graph is None else np.nonzero(graph.matrix()))
 

@@ -524,3 +524,24 @@ def test_unread_setting_is_config_error(command, setting, capsys):
         rc = e.code
     assert rc == EXIT_CONFIG
     assert setting in capsys.readouterr().err
+
+
+# a dimension whose arrays cannot exist on any machine: numpy would raise
+# ValueError ("array is too big", "Maximum allowed dimension exceeded")
+@pytest.mark.parametrize("size", [10**18, 10**20])
+@pytest.mark.parametrize("command, key", [
+    ("train", "m0"), ("train", "mt"), ("train", "ma"), ("synth", "feature_dim"),
+    ("synth", "attr_dim"), ("synth", "classes"), ("synth", "domains"),
+])
+def test_oversized_dimension_is_one_line_out_of_memory(tmp_path, capsys, command, key, size):
+    out = tmp_path / "out"
+    if command == "train":
+        argv = train_args(synth(tmp_path), out, tmp_path / "c.csv")
+    else:
+        argv = ["synth", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--set", f"{key}={size}"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and str(size) in err
+    assert not out.exists()

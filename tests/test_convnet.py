@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convtransfer.convnet import (
@@ -234,6 +234,28 @@ def ragged_batches(draw):
 
     block = ConvBlock(filters=array(m, d, w), bias=array(m))
     return block, [array(d, L) for L in lengths], array(n, m)
+
+
+def _block(w):
+    return ConvBlock(filters=np.ones((1, 2, w)), bias=np.zeros(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged_batches())
+# one point; points shorter than the window
+@example((_block(3), [np.arange(2.0).reshape(2, 1)], np.ones((1, 1))))
+@example((_block(4), [-np.ones((2, 1)), np.ones((2, 3)), np.arange(10.0).reshape(2, 5)],
+          np.ones((3, 1))))
+def test_pad_columns_equals_per_point_placement(case):
+    _, xs, _ = case
+    x, lengths = pad_columns(xs)
+    # the per-point loop pad_columns replaced: point i in [:, :L_i, i], zeros elsewhere
+    want = np.zeros((xs[0].shape[0], max(xi.shape[1] for xi in xs), len(xs)))
+    for i, xi in enumerate(xs):
+        want[:, :xi.shape[1], i] = xi
+    assert x.shape == want.shape and x.flags.c_contiguous
+    assert x.tobytes() == want.tobytes()
+    assert lengths.dtype == np.intp and lengths.tolist() == [xi.shape[1] for xi in xs]
 
 
 @settings(max_examples=300, deadline=None)

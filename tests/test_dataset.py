@@ -17,12 +17,14 @@ from convtransfer.dataset import (
     MultiDomainDataset,
     NeighborGraph,
     SynthSpec,
+    _check_point,
     build_neighbor_graph,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split_roles,
     split_target,
+    validate_dataset,
 )
 from convtransfer.numeric import Rng
 
@@ -219,6 +221,30 @@ class TestSynthetic:
                 assert p.x.shape[0] == 3 and 2 <= p.x.shape[1] <= 4
                 assert p.a.shape == (6,) and p.y.shape == (3,)
 
+    def test_prototype_draw_stops_at_its_first_close_pair(self, monkeypatch):
+        # one-dimensional prototypes of 30 classes: every draw has close
+        # pairs, so all 1000 draws are rejected
+        spec = SynthSpec(classes=30, feature_dim=1, points_per_domain=2)
+        real_normal, real_dist = Rng.normal, math.dist
+        state = {"draws": 0, "close": False}
+
+        def normal(self, shape):
+            state["draws"] += 1
+            state["close"] = False
+            return real_normal(self, shape)
+
+        def dist(p, q):
+            assert not state["close"], "a distance was evaluated after a close pair of its draw"
+            out = real_dist(p, q)
+            state["close"] = out < spec.margin
+            return out
+
+        monkeypatch.setattr(Rng, "normal", normal)
+        monkeypatch.setattr(math, "dist", dist)
+        with pytest.raises(DataError, match="could not place class prototypes"):
+            generate_synthetic(spec, seed=0)
+        assert state["draws"] == 1000
+
 
 def small_doc():
     """A hand-written dataset file: one auxiliary point, then a target
@@ -388,3 +414,71 @@ def test_training_view_hides_test_points_and_unlabeled_labels(ds):
             assert seen is p
     # the dataset itself keeps every label
     assert [[id(p.y) for p in dom] for dom in ds.domains] == labels
+
+
+def reference_validate(ds):
+    """The point-by-point loop validate_dataset replaced, kept as the reference."""
+    for t, dom in enumerate(ds.domains):
+        for i, p in enumerate(dom):
+            _check_point(p, ds.d, ds.a_dim, ds.y_dim, f"domain {t}, point {i}",
+                         t == ds.n_domains - 1)
+
+
+def _message(check, ds):
+    """The message of the DataError check(ds) raises, or None."""
+    try:
+        check(ds)
+    except DataError as e:
+        return str(e)
+    return None
+
+
+def _fault(p, kind, ds):
+    """Break point p in place by the named kind of fault."""
+    if kind == "x rows":
+        p.x = np.zeros((ds.d + 1, 2))
+    elif kind == "x without columns":
+        p.x = np.zeros((ds.d, 0))
+    elif kind == "x one-dimensional":
+        p.x = p.x.ravel()
+    elif kind in ("nan x", "inf x"):
+        p.x = p.x.copy()
+        p.x.flat[-1:] = math.nan if kind == "nan x" else -math.inf  # none if x is empty
+    elif kind == "a length":
+        p.a = np.zeros(ds.a_dim + 1)
+    elif kind == "non-binary a":
+        p.a = p.a.copy()
+        p.a[0] = 0.5
+    elif kind == "nan a":
+        p.a = p.a.copy()
+        p.a[-1] = math.nan
+    elif kind == "y length":
+        p.y = np.zeros(ds.y_dim + 1)
+    elif kind == "zero y":
+        p.y = np.zeros(ds.y_dim)
+    elif kind == "two-hot y":
+        p.y = np.ones(ds.y_dim) if ds.y_dim > 1 else np.array([2.0])
+    elif kind == "unknown role":
+        p.role = "train"
+    elif kind == "no label":  # a fault in an auxiliary domain only
+        p.y = None
+    elif kind == "role":  # a fault in an auxiliary domain only
+        p.role = ROLE_TEST
+
+
+FAULTS = ["x rows", "x without columns", "x one-dimensional", "nan x", "inf x", "a length",
+          "non-binary a", "nan a", "y length", "zero y", "two-hot y", "unknown role",
+          "no label", "role"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(), st.data())
+def test_array_validation_names_the_point_the_point_loop_names(ds, data):
+    points = [p for dom in ds.domains for p in dom]
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.sampled_from(points))
+        kind = data.draw(st.sampled_from(FAULTS))
+        if p.y is None and kind in ("y length", "zero y", "two-hot y"):
+            continue  # a label fault needs a label
+        _fault(p, kind, ds)
+    assert _message(validate_dataset, ds) == _message(reference_validate, ds)

@@ -415,6 +415,21 @@ def _smooth_batch():
 BLOCKS = list(make_params().blocks())
 
 
+def test_pack_rows_are_each_points_arrays():
+    # target points: one unlabeled, one hidden by its role, one labeled
+    ds = tiny_dataset(5, n_per_domain=3)
+    ds.target[0].y = None
+    ds.target[1].role = ROLE_UNLABELED
+    b = pack(make_params(5), ds, None)
+    points = [*ds.domains[0], *ds.target_train_points()]
+    assert b.a.shape == (6, 2) and b.y.shape == (6, 2)
+    assert [seg for _, seg in b.segments] == [slice(0, 3), slice(3, 6)]
+    for i, p in enumerate(points):
+        assert _same_bits(b.a[i], p.a), i
+        assert _same_bits(b.y[i], np.zeros(2) if p.y is None else p.y), i
+    assert not b.y[3:5].any() and b.y[5].sum() == 1.0
+
+
 def test_branches_follow_the_block_order():
     params, b, _ = _smooth_batch()
     blocks = params.blocks()
