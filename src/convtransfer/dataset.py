@@ -16,7 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .numeric import Rng
+from .numeric import Rng, _drawable
 
 FORMAT_VERSION = 1
 
@@ -79,54 +79,46 @@ class MultiDomainDataset:
                 for p in self.target if p.role != ROLE_TEST]
 
 
-def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str,
-                 target: bool) -> None:
-    if p.x.ndim != 2 or p.x.shape[0] != d or p.x.shape[1] < 1:
-        raise DataError(f"{where}: x must be {d}xL with L >= 1, got shape {p.x.shape}")
-    if not np.isfinite(p.x).all():
-        raise DataError(f"{where}: x contains non-finite entries")
-    if p.a.shape != (a_dim,):
-        raise DataError(f"{where}: attribute vector has shape {p.a.shape}, expected ({a_dim},)")
-    if not ((p.a == 0.0) | (p.a == 1.0)).all():
-        raise DataError(f"{where}: attribute vector entries must be 0/1, got {p.a.tolist()}")
-    if p.y is not None:
-        if p.y.shape != (y_dim,):
-            raise DataError(f"{where}: label has shape {p.y.shape}, expected ({y_dim},)")
-        if not (((p.y == 0.0) | (p.y == 1.0)).all() and p.y.sum() == 1.0):
-            raise DataError(f"{where}: label must be one-hot, got {p.y.tolist()}")
-    if p.role is not None and p.role not in ROLES:
-        raise DataError(f"{where}: unknown role {p.role!r}")
-    if not target and p.y is None:
-        raise DataError(f"{where}: auxiliary-domain points must be labeled")
-    if not target and p.role is not None:
-        raise DataError(f"{where}: role tags are only valid in the target domain")
+def _point_rules(d: int, a_dim: int, y_dim: int, target: bool) -> tuple:
+    """The point rules of one domain in the order a point is checked, as
+    (test, message) pairs: test maps a list of points to one bool per point,
+    and message words one point that fails it. A value rule stacks the
+    arrays of its points, so it only runs on points that passed the shape
+    rules above it."""
+    def each(rule):
+        return lambda pts: np.fromiter(map(rule, pts), dtype=bool, count=len(pts))
 
+    def finite_x(pts):
+        lengths = np.fromiter((p.x.shape[1] for p in pts), dtype=np.intp, count=len(pts))
+        finite = np.isfinite(np.concatenate([p.x for p in pts], axis=1)).all(axis=0)
+        return np.logical_and.reduceat(finite, np.cumsum(lengths) - lengths)
 
-def _flag_points(dom: list[DataPoint], d: int, a_dim: int, y_dim: int,
-                 target: bool) -> np.ndarray:
-    """Indices of the points of one domain that _check_point rejects, in order:
-    one Python pass over shapes, roles and labels, then the value checks
-    over the stacked arrays of the points that passed it."""
-    roles = (None, *ROLES) if target else (None,)
-    ok = np.fromiter((p.x.ndim == 2 and p.x.shape[0] == d and p.x.shape[1] >= 1
-                      and p.a.shape == (a_dim,) and p.role in roles
-                      and (target if p.y is None else p.y.shape == (y_dim,)) for p in dom),
-                     dtype=bool, count=len(dom))
-    shaped = np.flatnonzero(ok)
-    if shaped.size:
-        pts = [dom[i] for i in shaped]
-        xs = [p.x for p in pts]
-        lengths = np.fromiter((x.shape[1] for x in xs), dtype=np.intp, count=len(xs))
-        finite = np.isfinite(np.concatenate(xs, axis=1)).all(axis=0)
-        good = np.logical_and.reduceat(finite, np.cumsum(lengths) - lengths)
-        a = np.concatenate([p.a for p in pts]).reshape(-1, a_dim)
-        good &= ((a == 0.0) | (a == 1.0)).all(axis=1)
+    def binary(rows):
+        return ((rows == 0.0) | (rows == 1.0)).all(axis=1)
+
+    def one_hot_y(pts):
         # an unlabeled point stands in as a one-hot row, which passes
         one_hot = np.eye(1, y_dim)[0]
         y = np.concatenate([one_hot if p.y is None else p.y for p in pts]).reshape(-1, y_dim)
-        good &= ((y == 0.0) | (y == 1.0)).all(axis=1) & (y.sum(axis=1) == 1.0)
-        ok[shaped] = good
-    return np.flatnonzero(~ok)
+        return binary(y) & (y.sum(axis=1) == 1.0)
+
+    return (
+        (each(lambda p: p.x.ndim == 2 and p.x.shape[0] == d and p.x.shape[1] >= 1),
+         lambda p: f"x must be {d}xL with L >= 1, got shape {p.x.shape}"),
+        (finite_x, lambda p: "x contains non-finite entries"),
+        (each(lambda p: p.a.shape == (a_dim,)),
+         lambda p: f"attribute vector has shape {p.a.shape}, expected ({a_dim},)"),
+        (lambda pts: binary(np.concatenate([p.a for p in pts]).reshape(-1, a_dim)),
+         lambda p: f"attribute vector entries must be 0/1, got {p.a.tolist()}"),
+        (each(lambda p: p.y is None or p.y.shape == (y_dim,)),
+         lambda p: f"label has shape {p.y.shape}, expected ({y_dim},)"),
+        (one_hot_y, lambda p: f"label must be one-hot, got {p.y.tolist()}"),
+        (each(lambda p: p.role is None or p.role in ROLES), lambda p: f"unknown role {p.role!r}"),
+        (each(lambda p: target or p.y is not None),
+         lambda p: "auxiliary-domain points must be labeled"),
+        (each(lambda p: target or p.role is None),
+         lambda p: "role tags are only valid in the target domain"),
+    )
 
 
 def validate_dataset(ds: MultiDomainDataset) -> None:
@@ -138,10 +130,16 @@ def validate_dataset(ds: MultiDomainDataset) -> None:
     if ds.n_domains < 1:
         raise DataError("dataset must contain at least one domain")
     for t, dom in enumerate(ds.domains):
-        target = t == ds.n_domains - 1
-        # _check_point words the message of the first point flagged
-        for i in _flag_points(dom, ds.d, ds.a_dim, ds.y_dim, target):
-            _check_point(dom[i], ds.d, ds.a_dim, ds.y_dim, f"domain {t}, point {i}", target)
+        # each rule tests the points ahead of the first one failed so far, so
+        # the last failure found is the first rule the first bad point fails;
+        # a list of bools is cheaper to search than a small array to reduce
+        pts, error = dom, None
+        for test, message in _point_rules(ds.d, ds.a_dim, ds.y_dim, t == ds.n_domains - 1):
+            if pts and False in (ok := test(pts).tolist()):
+                i = ok.index(False)
+                pts, error = pts[:i], f"domain {t}, point {i}: {message(pts[i])}"
+        if error:
+            raise DataError(error)
 
 
 def split_roles(n: int, rng: Rng) -> list[str]:
@@ -255,6 +253,7 @@ class SynthSpec:
 def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:
     """Deterministic per seed; every point in every domain is labeled
     (target labels are hidden later by the split)."""
+    _drawable((spec.feature_dim, spec.l_max))  # the largest point, before any draw
     rng = Rng(seed)
     # class prototypes, redrawn until pairwise distances reach the margin
     for _ in range(1000):

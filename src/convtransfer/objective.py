@@ -87,12 +87,14 @@ class ObjectiveBreakdown:
 
 class DivergenceError(RuntimeError):
     """Objective became non-finite during training; the message names the
-    iteration, the step size and the first non-finite breakdown field."""
+    iteration, the step size (none at iteration 0, the initial state before
+    any step) and the first non-finite breakdown field."""
 
     def __init__(self, iteration: int, tau: float, bd: ObjectiveBreakdown):
         term = next(f.name for f in fields(bd) if not math.isfinite(getattr(bd, f.name)))
-        super().__init__(f"objective diverged at iteration {iteration} with tau {tau!r}: "
-                         f"{term} is {getattr(bd, term)}")
+        where = (f"diverged at iteration {iteration} with tau {tau!r}" if iteration
+                 else "is non-finite at iteration 0 (the initial state, before any step)")
+        super().__init__(f"objective {where}: {term} is {getattr(bd, term)}")
         self.iteration = iteration
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convtransfer.dataset import (
+    ROLES,
     ROLE_LABELED,
     ROLE_TEST,
     ROLE_UNLABELED,
@@ -17,7 +18,6 @@ from convtransfer.dataset import (
     MultiDomainDataset,
     NeighborGraph,
     SynthSpec,
-    _check_point,
     build_neighbor_graph,
     generate_synthetic,
     load_dataset,
@@ -416,8 +416,33 @@ def test_training_view_hides_test_points_and_unlabeled_labels(ds):
     assert [[id(p.y) for p in dom] for dom in ds.domains] == labels
 
 
+# A verbatim copy of the point-by-point check validate_dataset replaced, kept
+# here as an oracle independent of the module's rule table.
+def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str,
+                 target: bool) -> None:
+    if p.x.ndim != 2 or p.x.shape[0] != d or p.x.shape[1] < 1:
+        raise DataError(f"{where}: x must be {d}xL with L >= 1, got shape {p.x.shape}")
+    if not np.isfinite(p.x).all():
+        raise DataError(f"{where}: x contains non-finite entries")
+    if p.a.shape != (a_dim,):
+        raise DataError(f"{where}: attribute vector has shape {p.a.shape}, expected ({a_dim},)")
+    if not ((p.a == 0.0) | (p.a == 1.0)).all():
+        raise DataError(f"{where}: attribute vector entries must be 0/1, got {p.a.tolist()}")
+    if p.y is not None:
+        if p.y.shape != (y_dim,):
+            raise DataError(f"{where}: label has shape {p.y.shape}, expected ({y_dim},)")
+        if not (((p.y == 0.0) | (p.y == 1.0)).all() and p.y.sum() == 1.0):
+            raise DataError(f"{where}: label must be one-hot, got {p.y.tolist()}")
+    if p.role is not None and p.role not in ROLES:
+        raise DataError(f"{where}: unknown role {p.role!r}")
+    if not target and p.y is None:
+        raise DataError(f"{where}: auxiliary-domain points must be labeled")
+    if not target and p.role is not None:
+        raise DataError(f"{where}: role tags are only valid in the target domain")
+
+
 def reference_validate(ds):
-    """The point-by-point loop validate_dataset replaced, kept as the reference."""
+    """The point-by-point loop over the oracle check."""
     for t, dom in enumerate(ds.domains):
         for i, p in enumerate(dom):
             _check_point(p, ds.d, ds.a_dim, ds.y_dim, f"domain {t}, point {i}",
@@ -452,8 +477,15 @@ def _fault(p, kind, ds):
     elif kind == "nan a":
         p.a = p.a.copy()
         p.a[-1] = math.nan
+    elif kind == "a two-dimensional":  # values a stacked 0/1 check would pass
+        p.a = p.a.reshape(1, -1)
     elif kind == "y length":
         p.y = np.zeros(ds.y_dim + 1)
+    elif kind == "y two-dimensional":  # values a stacked one-hot check would pass
+        p.y = p.y.reshape(-1, 1)
+    elif kind == "nan y":
+        p.y = p.y.copy()
+        p.y[0] = math.nan
     elif kind == "zero y":
         p.y = np.zeros(ds.y_dim)
     elif kind == "two-hot y":
@@ -467,8 +499,9 @@ def _fault(p, kind, ds):
 
 
 FAULTS = ["x rows", "x without columns", "x one-dimensional", "nan x", "inf x", "a length",
-          "non-binary a", "nan a", "y length", "zero y", "two-hot y", "unknown role",
-          "no label", "role"]
+          "a two-dimensional", "non-binary a", "nan a", "y length", "y two-dimensional",
+          "nan y", "zero y", "two-hot y", "unknown role", "no label", "role"]
+LABEL_FAULTS = ("y length", "y two-dimensional", "nan y", "zero y", "two-hot y")
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,7 +511,7 @@ def test_array_validation_names_the_point_the_point_loop_names(ds, data):
     for _ in range(data.draw(st.integers(1, 4))):
         p = data.draw(st.sampled_from(points))
         kind = data.draw(st.sampled_from(FAULTS))
-        if p.y is None and kind in ("y length", "zero y", "two-hot y"):
+        if p.y is None and kind in LABEL_FAULTS:
             continue  # a label fault needs a label
         _fault(p, kind, ds)
     assert _message(validate_dataset, ds) == _message(reference_validate, ds)
