@@ -123,18 +123,18 @@ def conv_forward_batch(block: ConvBlock, x: np.ndarray, lengths: np.ndarray) -> 
 def conv_backward_batch(block: ConvBlock, trace: BatchTrace,
                         upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of sum_i (upstream[i] . output[i]) w.r.t. filters and bias,
-    for an (n, m) upstream.
+    for an (n, m) upstream of the trace's first n points.
 
     Each point's contribution u * window is added point after point in
     batch order, so the sums equal adding conv_backward's per-point results
     one at a time. Returns (dfilters (m, d, w), dbias (m,)).
     """
-    n = trace.argmax.shape[1]
+    n = len(upstream)
     # a filter whose pooled pre-activation is <= 0 (output 0) passes no gradient
-    u = np.where(trace.output > 0.0, upstream, 0.0)
+    u = np.where(trace.output[:n] > 0.0, upstream, 0.0)
     # windows[:, j, i] is point i's (d, w) window at filter j's pooled position
     windows = np.lib.stride_tricks.sliding_window_view(trace.x_padded, block.w, axis=1)
-    windows = windows[:, trace.argmax, np.arange(n)]              # (d, m, n, w)
+    windows = windows[:, trace.argmax[:, :n], np.arange(n)]       # (d, m, n, w)
     # add.accumulate sums strictly in point order, starting from zero
     dfilters = 0.0 + np.add.accumulate(u.T[None, :, :, None] * windows, axis=2)[:, :, -1]
     dbias = 0.0 + np.add.accumulate(u, axis=0)[-1]

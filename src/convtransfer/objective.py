@@ -11,15 +11,16 @@ The training objective has five terms:
      fixed 0/1 adjacency, weighted by c3.
 
 The objective sees the auxiliary points and the target points the trainer
-may see (MultiDomainDataset.target_train_points): pack drops target test
-points and hides the labels of train-unlabeled points itself.
+may see (MultiDomainDataset.target_train_points): pack hides the labels of
+train-unlabeled points itself, and packs the target test points after the
+last segment, where no loss term reads them.
 
 Every entry point packs its points once (pack, Batch); forward runs the
 batched encoders, and value_and_grad serves the objective, the sub-gradient
-and, in train, the trajectory row from that one forward pass. After a change
-to one parameter block, forward re-runs only the encoder that block drives,
-so block-cyclic steps and finite differences reuse the other encoders'
-outputs.
+and, in train, the trajectory row and its test accuracy from that one
+forward pass. After a change to one parameter block, forward re-runs only
+the encoder that block drives, so block-cyclic steps and finite
+differences reuse the other encoders' outputs.
 Sub-gradients are exact (ReLU sub-gradient 0 at 0, pooling ties to the
 lowest index) and accumulated in (domain, point) order so runs reproduce
 bit-for-bit.
@@ -110,8 +111,8 @@ def _check_compat(params: ModelParams, ds: MultiDomainDataset) -> None:
 class Batch:
     """Points packed once for the batched encoders.
 
-    The points form segments of consecutive rows, each from one domain:
-    f_0 and f_a run once over all rows, each f_t once over its segment.
+    The points form segments of consecutive rows, each from one domain, and
+    then rows that no loss term reads (pack's target test points).
     `edges` lists the neighbor graph's ordered pairs as row offsets into
     the last segment.
     """
@@ -125,8 +126,8 @@ class Batch:
 
 
 def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
-           graph: NeighborGraph | None = None) -> Batch:
-    points = [p for _, pts in segments for p in pts]
+           graph: NeighborGraph | None = None, after: Collection[DataPoint] = ()) -> Batch:
+    points = [p for _, pts in segments for p in pts] + list(after)
     n = len(points)
     x, lengths = pad_columns([p.x for p in points])
     no_label = np.zeros(y_dim)
@@ -140,7 +141,7 @@ def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
 
 def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | None) -> Batch:
     """Check the inputs and pack every auxiliary point and ds.target_train_points(),
-    one segment per domain; `graph` has one node per packed target point."""
+    one segment per domain, then the target test points; `graph` has a node per last-segment row."""
     _check_compat(params, ds)
     seen = ds.target_train_points()
     if graph is not None and graph.n != len(seen):
@@ -150,7 +151,7 @@ def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | Non
     for t, pts in segments:
         if not pts:
             raise DataError(f"domain {t} is empty; mean matching undefined")
-    return _batch(segments, ds.y_dim, graph)
+    return _batch(segments, ds.y_dim, graph, ds.target_points(ROLE_TEST))
 
 
 @dataclass
@@ -165,18 +166,20 @@ class Forward:
 def _branches(params: ModelParams, b: Batch) -> list[tuple[str, ConvBlock, np.ndarray, slice]]:
     """Each branch run over a Batch as (suffix, encoder, head, rows), in
     named_tensors() order: "0" (f_0, u_0) over every row, "t" (f_t, u_t, t from
-    1) over each domain segment, "a" (f_a, u_a) over every row. Prefixing the
-    suffix with "f_" or "u_" gives the encoder's or the head's block name."""
+    1) over each domain segment, the last one on to the last row, "a" (f_a, u_a)
+    over every row; "f_" or "u_" + suffix names the encoder's or the head's block."""
     every = slice(None)
+    *front, (t, last) = b.segments
     return [("0", params.f_0, params.u0, every),
-            *((str(t + 1), params.f_dom[t], params.u_dom[t], rows) for t, rows in b.segments),
+            *((str(i + 1), params.f_dom[i], params.u_dom[i], rows) for i, rows in front),
+            (str(t + 1), params.f_dom[t], params.u_dom[t], slice(last.start, None)),
             ("a", params.f_a, params.ua, every)]
 
 
 def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
             changed: Collection[str] = ()) -> Forward:
-    """Run the encoders over a Batch, f_0 and f_a once over all points and
-    each f_t once over its segment; then the heads.
+    """Run the encoders over a Batch (see _branches for their rows); then
+    the heads, over every row.
 
     `prev` is a Forward of the same Batch under parameters that differ from
     params only in the blocks named in `changed` (named_tensors() block
@@ -184,12 +187,13 @@ def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
     block), and the head scores are recomputed; the result equals a fresh
     forward bit for bit, and prev is left as it was.
     """
+    branches = _branches(params, b)
     traces = [conv_forward_batch(enc, b.x[:, :, rows], b.lengths[rows])
               if prev is None or "f_" + s in changed else prev.traces[k]
-              for k, (s, enc, _, rows) in enumerate(_branches(params, b))]
+              for k, (s, enc, _, rows) in enumerate(branches)]
     r0, *rt, ra = (tr.output for tr in traces)
     scores = np.empty((len(r0), params.dims.y_dim))
-    for (t, rows), out in zip(b.segments, rt):
+    for (t, _), (_, _, _, rows), out in zip(b.segments, branches[1:-1], rt):
         scores[rows] = head_scores(params, r0[rows], out, ra[rows], t)
     return Forward(traces=traces, scores=scores)
 
@@ -207,11 +211,14 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     """
     T = params.n_domains
     tgt = b.segments[-1][1]
+    # the terms read the rows up to the last segment's end, and only those
     r0, *rt, ra = (tr.output for tr in f.traces)
-    err = np.where(b.y.any(axis=1, keepdims=True), f.scores - b.y, 0.0)
+    r0, rt[-1], ra = r0[:tgt.stop], rt[-1][:tgt.stop - tgt.start], ra[:tgt.stop]
+    y, a, scores = b.y[:tgt.stop], b.a[:tgt.stop], f.scores[:tgt.stop]
+    err = np.where(y.any(axis=1, keepdims=True), scores - y, 0.0)
     sq = np.einsum("ij,ij->i", err, err)
     aux, tgt_cls = float(sq[:tgt.start].sum()), float(sq[tgt].sum())
-    g_attr = ra - b.a @ params.theta
+    g_attr = ra - a @ params.theta
     attr = float(np.einsum("ij,ij->", g_attr, g_attr))
     means = [r0[rows].mean(axis=0) for _, rows in b.segments]
     dom = sum((float((means[t] - means[t2]) @ (means[t] - means[t2]))
@@ -231,11 +238,11 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     # head and theta blocks; "0.0 +" starts each sum from +0.0, as conv_backward_batch does
     branches = _branches(params, b)
     gsc = 2.0 * err  # classification terms; unlabeled rows are zero
-    gs = {"u_" + s: (0.0 + tr.output.T @ gsc[rows],)
-          for (s, _, _, rows), tr in zip(branches, f.traces) if "u_" + s in grad}
+    gs = {"u_" + s: (0.0 + out.T @ gsc[rows],)
+          for (s, _, _, rows), out in zip(branches, (r0, *rt, ra)) if "u_" + s in grad}
     if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
         gs["theta"] = (np.zeros_like(params.theta) if cfg.c1 == 0.0
-                       else 0.0 + -2.0 * cfg.c1 * (b.a.T @ g_attr),)
+                       else 0.0 + -2.0 * cfg.c1 * (a.T @ g_attr),)
     if not any(block.startswith("f_") for block in grad):
         return bd, {block: gs[block] for block in grad}
 
@@ -293,25 +300,23 @@ def neighbor_loss(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGr
     return objective(params, ds, graph, TrainConfig()).neighbor
 
 
-def _accuracy(params: ModelParams, b: Batch) -> float:
-    correct = np.count_nonzero(forward(params, b).scores.argmax(axis=1) == b.y.argmax(axis=1))
-    return int(correct) / len(b.y)
+def _accuracy(scores: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of rows whose top score is the label's class (NaN for no rows)."""
+    correct = np.count_nonzero(scores.argmax(axis=1) == y.argmax(axis=1))
+    return int(correct) / len(y) if len(y) else math.nan
 
 
-def _eval_batch(params: ModelParams, points: list[DataPoint], t: int) -> Batch:
+def evaluate(params: ModelParams, points: list[DataPoint], t: int) -> float:
+    """Fraction of points whose predicted class matches the label's argmax;
+    predictions break score ties toward the lowest class index."""
     if not points:
         raise DataError("cannot evaluate on an empty point collection")
     if any(p.y is None for p in points):
         raise DataError("evaluation requires labeled points")
     if not 0 <= t < params.n_domains:
         raise ValueError(f"domain index {t} out of range [0, {params.n_domains})")
-    return _batch([(t, points)], params.dims.y_dim)
-
-
-def evaluate(params: ModelParams, points: list[DataPoint], t: int) -> float:
-    """Fraction of points whose predicted class matches the label's argmax;
-    predictions break score ties toward the lowest class index."""
-    return _accuracy(params, _eval_batch(params, points, t))
+    b = _batch([(t, points)], params.dims.y_dim)
+    return _accuracy(forward(params, b).scores, b.y)
 
 
 @dataclass
@@ -348,8 +353,8 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     before each block step and re-running only the encoder it drives after.
     The trajectory records the breakdown after every iteration (row 0 is the
     initial state) and stops early once the relative change of the total
-    drops below 1e-6. Each row's breakdown comes from the forward pass that
-    also yields the next iteration's first gradient.
+    drops below 1e-6. Each row's breakdown and test accuracy come from the
+    forward pass that also yields the next iteration's first gradient.
     """
     T = ds.n_domains
     if not any(p.y is not None for p in ds.target_train_points()):
@@ -359,15 +364,13 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
                 m0=cfg.m0, ma=cfg.ma, mt=(cfg.mt,) * T, w=cfg.w)
     params = init_params(dims, Rng(cfg.seed), cfg.init_range)
     batch = pack(params, ds, graph)
-    test_points = ds.target_points(ROLE_TEST)
-    test_batch = _eval_batch(params, test_points, T - 1) if test_points else None
+    if any(p.y is None for p in ds.target_points(ROLE_TEST)):
+        raise DataError("evaluation requires labeled points")
+    test = slice(batch.segments[-1][1].stop, None)  # the target test rows
     # joint mode steps every block at once; block-cyclic steps one block per
     # gradient, in named_tensors() order
     blocks = params.blocks()
     sweep = [blocks] if cfg.update_mode == "joint" else [(block,) for block in blocks]
-
-    def test_acc():
-        return _accuracy(params, test_batch) if test_batch else math.nan
 
     f = forward(params, batch)
     rows: list[TrajectoryRow] = []
@@ -382,7 +385,7 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
         bd, gs = value_and_grad(params, batch, f, cfg, sweep[0] if it < cfg.max_iters else ())
         if not math.isfinite(bd.total):
             raise DivergenceError(it, cfg.tau, bd)
-        rows.append(TrajectoryRow(it, bd, test_acc()))
+        rows.append(TrajectoryRow(it, bd, _accuracy(f.scores[test], batch.y[test])))
         if it:  # row 0 has no predecessor to compare with
             prev = rows[-2].breakdown.total
             if abs(bd.total - prev) <= EARLY_STOP_REL_TOL * max(abs(prev), 1e-300):

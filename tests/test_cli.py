@@ -305,6 +305,18 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert "labeled target point" in capsys.readouterr().err
 
+    def test_unlabeled_test_point_is_data_error_before_any_output(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ds = load_dataset(str(data))
+        split_target(ds, 0)
+        next(p for p in ds.target if p.role == ROLE_TEST).y = None
+        save_dataset(ds, str(data))
+        model, curve, report = tmp_path / "m.json", tmp_path / "c.csv", tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(train_args(data, model, curve, ["--out", str(report)])) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: evaluation requires labeled points\n"
+        assert not any(path.exists() for path in (model, curve, report))
+
     def test_empty_domain_is_data_error(self, tmp_path, capsys):
         data = synth(tmp_path)
         doc = json.loads(data.read_text())

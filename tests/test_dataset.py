@@ -515,3 +515,17 @@ def test_array_validation_names_the_point_the_point_loop_names(ds, data):
             continue  # a label fault needs a label
         _fault(p, kind, ds)
     assert _message(validate_dataset, ds) == _message(reference_validate, ds)
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_each_fault_alone_gets_the_point_loop_message(kind):
+    # each fault leads the dataset, so each rule is checked on its own
+    ds = generate_synthetic(SynthSpec(domains=2, points_per_domain=4, feature_dim=3, attr_dim=2,
+                                      l_min=2, l_max=4), seed=0)
+    split_target(ds, 0)
+    # the faults of auxiliary points only go to one; the rest to a labeled target point
+    p = ds.domains[0][1] if kind in ("no label", "role") else ds.target[2]
+    _fault(p, kind, ds)
+    want = _message(reference_validate, ds)
+    assert want is not None
+    assert _message(validate_dataset, ds) == want

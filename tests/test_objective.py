@@ -13,6 +13,7 @@ from convtransfer.dataset import (
     MultiDomainDataset,
     NeighborGraph,
     build_neighbor_graph,
+    split_target,
 )
 from convtransfer.gradcheck import (
     finite_diff_block,
@@ -268,23 +269,31 @@ class TestObjective:
                                                (ROLE_UNLABELED, True)])
     def test_rejects_points_hidden_from_the_trainer(self, role, labeled):
         # a tagged dataset gives, bit for bit, what a dataset holding only
-        # the trainer's target points gives, and not what the untagged one does
-        ds = tiny_dataset(21)
-        ds.target[1].role = role
-        if not labeled:
-            ds.target[1].y = None
-        seen = MultiDomainDataset(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim,
-                                  domains=[*ds.domains[:-1], ds.target_train_points()])
-        graph = build_neighbor_graph(seen.target, len(seen.target) - 1)
-        params = make_params(21)
-        bd = objective(params, ds, graph, CFG)
-        assert bd == objective(params, seen, graph, CFG)
-        gs, want = gradient(params, ds, graph, CFG), gradient(params, seen, graph, CFG)
-        assert gs.keys() == want.keys()
-        for block in want:
-            assert [g.tobytes() for g in gs[block]] == [g.tobytes() for g in want[block]], block
-        ds.target[1].role = None
-        assert bd != objective(params, ds, build_neighbor_graph(ds.target, 1), CFG)
+        # the trainer's target points gives, and not what the untagged one does;
+        # also with two more test points, one wider than every training point,
+        # so that only test rows widen the packed batch
+        for extra in (0, 2):
+            ds = tiny_dataset(21)
+            ds.target[1].role = role
+            if not labeled:
+                ds.target[1].y = None
+            rng = Rng(22)
+            ds.target.extend(DataPoint(x=rng.normal((3, L)), a=np.ones(2), y=np.eye(2)[1],
+                                       role=ROLE_TEST) for L in (7, 3)[:extra])
+            seen = MultiDomainDataset(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim,
+                                      domains=[*ds.domains[:-1], ds.target_train_points()])
+            graph = build_neighbor_graph(seen.target, len(seen.target) - 1)
+            params = make_params(21)
+            bd = objective(params, ds, graph, CFG)
+            assert bd == objective(params, seen, graph, CFG), extra
+            gs, want = gradient(params, ds, graph, CFG), gradient(params, seen, graph, CFG)
+            assert gs.keys() == want.keys()
+            for block in want:
+                assert ([g.tobytes() for g in gs[block]]
+                        == [g.tobytes() for g in want[block]]), (block, extra)
+            ds.target[1].role = None
+            assert bd != objective(params, ds, build_neighbor_graph(ds.target_train_points(), 1),
+                                   CFG)
 
     def test_empty_domain_rejected(self):
         ds = tiny_dataset(15)
@@ -531,22 +540,28 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("mode", ["joint", "block-cyclic"])
     def test_training_runs_each_encoder_once_per_iteration(self, kernel_calls, mode):
-        # no roles, so no test points: every kernel call is over the training batch
-        rng = Rng(30)
-        domains = [[DataPoint(x=rng.normal((3, 4)), a=np.zeros(2), y=np.eye(2)[i % 2])
-                    for i in range(4)] for _ in range(3)]
-        ds = MultiDomainDataset(d=3, a_dim=2, y_dim=2, domains=domains)
-        graph = build_neighbor_graph(ds.target, 1)
-        counts = []
-        for iters in (2, 3):
-            kernel_calls.update(forward=0, backward=0)
-            cfg = TrainConfig(tau=1e-4, max_iters=iters, update_mode=mode)
-            _, rows = train(ds, graph, cfg)
-            assert len(rows) == iters + 1
-            counts.append(dict(kernel_calls))
-        T = ds.n_domains
-        assert counts[1]["forward"] - counts[0]["forward"] == T + 2
-        assert counts[1]["backward"] - counts[0]["backward"] == T + 2
+        # target test points ride in the training batch: the curve's accuracy
+        # column costs no kernel call of its own
+        for split in (False, True):
+            rng = Rng(30)
+            domains = [[DataPoint(x=rng.normal((3, 4)), a=np.zeros(2), y=np.eye(2)[i % 2])
+                        for i in range(4)] for _ in range(3)]
+            ds = MultiDomainDataset(d=3, a_dim=2, y_dim=2, domains=domains)
+            if split:
+                split_target(ds, 30)
+                assert ds.target_points(ROLE_TEST)
+            graph = build_neighbor_graph(ds.target_train_points(), 1)
+            counts = []
+            for iters in (2, 3):
+                kernel_calls.update(forward=0, backward=0)
+                cfg = TrainConfig(tau=1e-4, max_iters=iters, update_mode=mode)
+                _, rows = train(ds, graph, cfg)
+                assert len(rows) == iters + 1
+                assert all(np.isnan(r.accuracy) != split for r in rows)
+                counts.append(dict(kernel_calls))
+            T = ds.n_domains
+            assert counts[1]["forward"] - counts[0]["forward"] == T + 2, split
+            assert counts[1]["backward"] - counts[0]["backward"] == T + 2, split
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_one_block_gradient_runs_only_that_encoder_backward(self, kernel_calls, block):

@@ -129,10 +129,11 @@ class TestTrainLoop:
             train(ds, graph, TrainConfig(tau=1e-4, max_iters=1, seed=0))
 
 
-def reference_block_cyclic(ds, graph, cfg):
-    """Block-cyclic descent that recomputes the full forward and the full
-    gradient before every block step; returns the parameters and, per
-    iteration, the breakdown and the target test accuracy."""
+def reference_training(ds, graph, cfg):
+    """Descent that recomputes the full forward and the full gradient before
+    every step: one step of every block per joint iteration, one step per
+    block in a block-cyclic sweep. Returns the parameters and, per iteration,
+    the breakdown and the target test accuracy."""
     T = ds.n_domains
     dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=cfg.m0, ma=cfg.ma,
                 mt=(cfg.mt,) * T, w=cfg.w)
@@ -142,23 +143,35 @@ def reference_block_cyclic(ds, graph, cfg):
         return objective(params, ds, graph, cfg), evaluate(params, ds.target_points(ROLE_TEST),
                                                              T - 1)
 
-    rows = [row()]
     blocks = params.blocks()
-    for _ in range(cfg.max_iters):
-        for block in blocks:
-            gs = gradient(params, ds, graph, cfg)
+
+    def step(names):
+        gs = gradient(params, ds, graph, cfg)
+        for block in names:
             for arr, grad in zip(blocks[block], gs[block], strict=True):
                 arr -= cfg.tau * grad
+
+    rows = [row()]
+    for _ in range(cfg.max_iters):
+        if cfg.update_mode == "joint":
+            step(blocks)
+        else:
+            for block in blocks:
+                step([block])
         rows.append(row())
     return params, rows
 
 
+@pytest.mark.parametrize("mode", ["joint", "block-cyclic"])
 @pytest.mark.parametrize("n_domains", [1, 2])
-def test_block_cyclic_matches_full_recompute_reference(n_domains):
+def test_training_matches_full_recompute_reference(n_domains, mode):
+    # every row's accuracy too, which reads the training forward's test rows:
+    # the step size is large enough that the accuracy moves between rows
     ds, graph = small_instance(7, n_domains=n_domains)
-    cfg = TrainConfig(tau=1e-3, max_iters=3, seed=7, update_mode="block-cyclic")
+    cfg = TrainConfig(tau=1e-2, max_iters=3, seed=7, update_mode=mode)
     params, rows = train(ds, graph, cfg)
-    want_params, want_rows = reference_block_cyclic(ds, graph, cfg)
+    want_params, want_rows = reference_training(ds, graph, cfg)
+    assert len({acc for _, acc in want_rows}) > 1
     assert ([(key, arr.tobytes()) for _, key, arr in params.named_tensors()]
             == [(key, arr.tobytes()) for _, key, arr in want_params.named_tensors()])
     assert len(rows) == len(want_rows) == cfg.max_iters + 1
