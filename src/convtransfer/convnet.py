@@ -133,8 +133,8 @@ def conv_backward_batch(block: ConvBlock, trace: BatchTrace,
     # a filter whose pooled pre-activation is <= 0 (output 0) passes no gradient
     u = np.where(trace.output[:n] > 0.0, upstream, 0.0)
     # windows[:, j, i] is point i's (d, w) window at filter j's pooled position
-    windows = np.lib.stride_tricks.sliding_window_view(trace.x_padded, block.w, axis=1)
-    windows = windows[:, trace.argmax[:, :n], np.arange(n)]       # (d, m, n, w)
+    cols = trace.argmax[:, :n, None] + np.arange(block.w)               # (m, n, w)
+    windows = trace.x_padded[:, cols, np.arange(n)[:, None]]            # (d, m, n, w)
     # add.accumulate sums strictly in point order, starting from zero
     dfilters = 0.0 + np.add.accumulate(u.T[None, :, :, None] * windows, axis=2)[:, :, -1]
     dbias = 0.0 + np.add.accumulate(u, axis=0)[-1]

@@ -253,7 +253,9 @@ class SynthSpec:
 def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:
     """Deterministic per seed; every point in every domain is labeled
     (target labels are hidden later by the split)."""
-    _drawable((spec.feature_dim, spec.l_max))  # the largest point, before any draw
+    # before any draw: the largest point, and every point at its fewest columns
+    _drawable((spec.feature_dim, spec.l_max))
+    _drawable((spec.domains, spec.points_per_domain, spec.feature_dim, spec.l_min))
     rng = Rng(seed)
     # class prototypes, redrawn until pairwise distances reach the margin
     for _ in range(1000):

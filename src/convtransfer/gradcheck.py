@@ -118,7 +118,7 @@ def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS) -> dict[str
     batch = pack(params, ds, graph)
     base = forward(params, batch)
     blocks = params.blocks()
-    gs = value_and_grad(params, batch, base, cfg, blocks)[1]
+    gs = value_and_grad(params, batch, base, cfg, blocks, value=False)[1]
     errs: dict[str, float] = {}
     for block, arrs in blocks.items():
         fds = [finite_diff_block(params, batch, base, cfg, block, arr, eps) for arr in arrs]

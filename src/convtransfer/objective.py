@@ -199,11 +199,14 @@ def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
 
 
 def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
-                   grad: Collection[str]) -> tuple[ObjectiveBreakdown, dict[str, tuple[np.ndarray, ...]]]:
+                   grad: Collection[str], value: bool = True,
+                   ) -> tuple[ObjectiveBreakdown | None, dict[str, tuple[np.ndarray, ...]]]:
     """The objective breakdown of a packed dataset (see pack) from its
     Forward f under params, and the exact sub-gradient of the blocks named in
     `grad` (params.blocks() for all, () for none), laid out as params.blocks().
     Only their encoders run backward; heads and theta need no upstream term.
+    With value=False the breakdown is None, and only what the asked-for blocks
+    read is computed; the gradient is the same bit for bit.
 
     Per-point upstream gradients add their terms in a fixed order
     (classification, attribute map, domain matching, neighbors), and the
@@ -211,68 +214,77 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     """
     T = params.n_domains
     tgt = b.segments[-1][1]
+    asked = set(grad)
     # the terms read the rows up to the last segment's end, and only those
     r0, *rt, ra = (tr.output for tr in f.traces)
     r0, rt[-1], ra = r0[:tgt.stop], rt[-1][:tgt.stop - tgt.start], ra[:tgt.stop]
     y, a, scores = b.y[:tgt.stop], b.a[:tgt.stop], f.scores[:tgt.stop]
-    err = np.where(y.any(axis=1, keepdims=True), scores - y, 0.0)
-    sq = np.einsum("ij,ij->i", err, err)
-    aux, tgt_cls = float(sq[:tgt.start].sum()), float(sq[tgt].sum())
-    g_attr = ra - a @ params.theta
-    attr = float(np.einsum("ij,ij->", g_attr, g_attr))
-    means = [r0[rows].mean(axis=0) for _, rows in b.segments]
-    dom = sum((float((means[t] - means[t2]) @ (means[t] - means[t2]))
-               for t in range(T) for t2 in range(t + 1, T)), 0.0)
-    nb = 0.0
-    if b.edges is not None:
+    # besides the breakdown, every block but theta reads the classification
+    # error, theta and f_a the attribute residual, f_0 the domain means, and
+    # f_0, f_T and f_a the neighbor differences
+    if value or asked - {"theta"}:
+        err = np.where(y.any(axis=1, keepdims=True), scores - y, 0.0)
+    if value or cfg.c1 != 0.0 and asked & {"theta", "f_a"}:
+        g_attr = ra - a @ params.theta
+    if value or cfg.c2 != 0.0 and T > 1 and "f_0" in asked:
+        means = [r0[rows].mean(axis=0) for _, rows in b.segments]
+    if b.edges is not None and (value or cfg.c3 != 0.0 and asked & {"f_0", f"f_{T}", "f_a"}):
         src, dst = b.edges
         feats = np.concatenate([r0[tgt], rt[-1], ra[tgt]], axis=1)
         diff = feats[src] - feats[dst]  # adjacency is symmetric: both orders
-        nb = float(np.einsum("ij,ij->", diff, diff))
-    total = aux + tgt_cls + cfg.c1 * attr + cfg.c2 * dom + cfg.c3 * nb
-    bd = ObjectiveBreakdown(aux_cls=aux, tgt_cls=tgt_cls, attr_map=attr,
-                            dom_match=dom, neighbor=nb, total=total)
+    bd = None
+    if value:
+        sq = np.einsum("ij,ij->i", err, err)
+        aux, tgt_cls = float(sq[:tgt.start].sum()), float(sq[tgt].sum())
+        attr = float(np.einsum("ij,ij->", g_attr, g_attr))
+        dom = sum((float((means[t] - means[t2]) @ (means[t] - means[t2]))
+                   for t in range(T) for t2 in range(t + 1, T)), 0.0)
+        nb = 0.0 if b.edges is None else float(np.einsum("ij,ij->", diff, diff))
+        total = aux + tgt_cls + cfg.c1 * attr + cfg.c2 * dom + cfg.c3 * nb
+        bd = ObjectiveBreakdown(aux_cls=aux, tgt_cls=tgt_cls, attr_map=attr,
+                                dom_match=dom, neighbor=nb, total=total)
     if not grad:
         return bd, {}
 
     # head and theta blocks; "0.0 +" starts each sum from +0.0, as conv_backward_batch does
     branches = _branches(params, b)
-    gsc = 2.0 * err  # classification terms; unlabeled rows are zero
+    # classification terms; unlabeled rows are zero
+    gsc = 2.0 * err if asked - {"theta"} else None
     gs = {"u_" + s: (0.0 + out.T @ gsc[rows],)
           for (s, _, _, rows), out in zip(branches, (r0, *rt, ra)) if "u_" + s in grad}
     if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
         gs["theta"] = (np.zeros_like(params.theta) if cfg.c1 == 0.0
                        else 0.0 + -2.0 * cfg.c1 * (a.T @ g_attr),)
-    if not any(block.startswith("f_") for block in grad):
-        return bd, {block: gs[block] for block in grad}
 
-    ups = [gsc[rows] @ head.T for _, _, head, rows in branches]
-    up0, upa = ups[0], ups[-1]
+    # upstream terms of the asked-for encoders only, keyed by branch suffix
+    ups = {s: gsc[rows] @ head.T for s, _, head, rows in branches if "f_" + s in asked}
 
     # attribute-map term (weight c1)
-    if cfg.c1 != 0.0:
-        upa += 2.0 * cfg.c1 * g_attr
+    if cfg.c1 != 0.0 and "a" in ups:
+        ups["a"] += 2.0 * cfg.c1 * g_attr
 
     # domain mean-matching term (weight c2)
-    if cfg.c2 != 0.0 and T > 1:
+    if cfg.c2 != 0.0 and T > 1 and "0" in ups:
         for t, (_, rows) in enumerate(b.segments):
             delta = 2.0 * sum((means[t] - means[t2]) for t2 in range(T) if t2 != t)
-            up0[rows] += cfg.c2 / (rows.stop - rows.start) * delta
+            ups["0"][rows] += cfg.c2 / (rows.stop - rows.start) * delta
 
     # neighbor smoothness term (weight c3), target branch only
-    if cfg.c3 != 0.0 and b.edges is not None:
+    if cfg.c3 != 0.0 and b.edges is not None and ups.keys() & {"0", str(T), "a"}:
         dfeat = np.zeros_like(feats)
         np.add.at(dfeat, src, diff)
         dfeat *= 4.0 * cfg.c3
         m0, mt = params.dims.m0, params.dims.mt[T - 1]
-        up0[tgt] += dfeat[:, :m0]
-        ups[-2] += dfeat[:, m0:m0 + mt]
-        upa[tgt] += dfeat[:, m0 + mt:]
+        for s, rows, cols in (("0", tgt, slice(None, m0)),
+                              (str(T), slice(None), slice(m0, m0 + mt)),
+                              ("a", tgt, slice(m0 + mt, None))):
+            if s in ups:
+                ups[s][rows] += dfeat[:, cols]
 
     # backward through the encoders of the asked-for blocks
-    for (s, enc, _, _), trace, up in zip(branches, f.traces, ups):
-        if "f_" + s in grad:
-            gs["f_" + s] = conv_backward_batch(enc, trace, up)
+    for (s, enc, _, _), trace in zip(branches, f.traces):
+        if s in ups:
+            gs["f_" + s] = conv_backward_batch(enc, trace, ups[s])
     return bd, {block: gs[block] for block in grad}
 
 
@@ -291,7 +303,7 @@ def gradient(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph |
              cfg: TrainConfig) -> dict[str, tuple[np.ndarray, ...]]:
     """Exact sub-gradient of the weighted total, laid out as params.blocks()."""
     b = pack(params, ds, graph)
-    return value_and_grad(params, b, forward(params, b), cfg, params.blocks())[1]
+    return value_and_grad(params, b, forward(params, b), cfg, params.blocks(), value=False)[1]
 
 
 def neighbor_loss(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph) -> float:
@@ -377,7 +389,7 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     for it in range(cfg.max_iters + 1):
         for k, step in enumerate(sweep if it else ()):  # row 0 is the initial state
             if k:
-                gs = value_and_grad(params, batch, f, cfg, step)[1]
+                gs = value_and_grad(params, batch, f, cfg, step, value=False)[1]
             for block in step:
                 for arr, grad in zip(blocks[block], gs[block]):
                     arr -= cfg.tau * grad

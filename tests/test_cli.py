@@ -544,6 +544,7 @@ def test_unread_setting_is_config_error(command, setting, capsys):
 @pytest.mark.parametrize("command, key", [
     ("train", "m0"), ("train", "mt"), ("train", "ma"), ("synth", "feature_dim"),
     ("synth", "attr_dim"), ("synth", "classes"), ("synth", "domains"), ("synth", "l_max"),
+    ("synth", "points_per_domain"),
 ])
 def test_oversized_dimension_is_one_line_out_of_memory(tmp_path, capsys, command, key, size):
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -416,8 +417,9 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _smooth_batch():
-    params, ds, graph, cfg = random_smooth_instance(3, points_per_domain=2, n_domains=2, d=4, m=3)
+def _smooth_batch(n_domains=2):
+    params, ds, graph, cfg = random_smooth_instance(3, points_per_domain=2, n_domains=n_domains,
+                                                    d=4, m=3)
     return params, pack(params, ds, graph), cfg
 
 
@@ -471,16 +473,28 @@ class TestReuse:
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_one_block_gradient_is_that_block_of_the_full_gradient(self, block):
-        params, b, cfg = _smooth_batch()
-        f = forward(params, b)
-        full_bd, full = value_and_grad(params, b, f, cfg, params.blocks())
-        bd, one = value_and_grad(params, b, f, cfg, (block,))
-        assert bd == full_bd
-        assert list(full) == list(BLOCKS)
-        assert list(one) == [block]
-        for g_full, g_one in zip(full[block], one[block], strict=True):
-            assert np.any(g_full)
-            assert _same_bits(g_one, g_full)
+        # with and without the breakdown, under the instance's weights and
+        # each weight zeroed, for T = 2 and T = 1 (where f_2 and u_2 do not exist)
+        for n_domains, zeroed in [(T, w) for T in (2, 1) for w in (None, "c1", "c2", "c3")]:
+            params, b, cfg = _smooth_batch(n_domains)
+            if zeroed:
+                cfg = dataclasses.replace(cfg, **{zeroed: 0.0})
+            if block not in params.blocks():
+                continue
+            f = forward(params, b)
+            full_bd, full = value_and_grad(params, b, f, cfg, params.blocks())
+            bd, one = value_and_grad(params, b, f, cfg, (block,))
+            assert bd == full_bd
+            assert list(full) == list(params.blocks())
+            assert list(one) == [block]
+            for asked in (params.blocks(), (block,)):
+                no_bd, got = value_and_grad(params, b, f, cfg, asked, value=False)
+                assert no_bd is None and list(got) == list(asked)
+                for g_full, g_got in zip(full[block], got[block], strict=True):
+                    assert _same_bits(g_got, g_full), (n_domains, zeroed, len(asked))
+            for g_full, g_one in zip(full[block], one[block], strict=True):
+                assert np.any(g_full) or (block, zeroed) == ("theta", "c1")
+                assert _same_bits(g_one, g_full), (n_domains, zeroed)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_finite_diff_block_equals_fresh_forward_differences(self, block):
@@ -562,6 +576,28 @@ class TestKernelCalls:
             T = ds.n_domains
             assert counts[1]["forward"] - counts[0]["forward"] == T + 2, split
             assert counts[1]["backward"] - counts[0]["backward"] == T + 2, split
+
+    def test_block_cyclic_training_builds_one_breakdown_per_iteration(self, monkeypatch):
+        # the mid-sweep steps need only their gradient; the breakdown comes
+        # from the one forward that ends each iteration
+        built = []
+        breakdown = objective_module.ObjectiveBreakdown
+
+        def counted(**terms):
+            built.append(terms)
+            return breakdown(**terms)
+
+        monkeypatch.setattr(objective_module, "ObjectiveBreakdown", counted)
+        ds = tiny_dataset(4, n_per_domain=3)
+        graph = build_neighbor_graph(ds.target_train_points(), 1)
+        counts = []
+        for iters in (2, 3):
+            built.clear()
+            _, rows = train(ds, graph, TrainConfig(tau=1e-4, max_iters=iters,
+                                                   update_mode="block-cyclic", m0=2, mt=2, ma=2))
+            assert len(rows) == iters + 1
+            counts.append(len(built))
+        assert counts[1] - counts[0] == 1
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_one_block_gradient_runs_only_that_encoder_backward(self, kernel_calls, block):
