@@ -253,9 +253,10 @@ class SynthSpec:
 def generate_synthetic(spec: SynthSpec, seed: int) -> MultiDomainDataset:
     """Deterministic per seed; every point in every domain is labeled
     (target labels are hidden later by the split)."""
-    # before any draw: the largest point, and every point at its fewest columns
+    # before any draw: the largest point, and every point at its fewest
+    # columns, which must also fit in memory at once
     _drawable((spec.feature_dim, spec.l_max))
-    _drawable((spec.domains, spec.points_per_domain, spec.feature_dim, spec.l_min))
+    _drawable((spec.domains, spec.points_per_domain, spec.feature_dim, spec.l_min), in_memory=True)
     rng = Rng(seed)
     # class prototypes, redrawn until pairwise distances reach the margin
     for _ in range(1000):

@@ -14,7 +14,7 @@ import numpy as np
 from .dataset import DataPoint, MultiDomainDataset, build_neighbor_graph
 from .model import Dims, ModelParams, init_params
 from .numeric import Rng
-from .objective import Batch, Forward, TrainConfig, forward, pack, value_and_grad
+from .objective import Batch, Forward, TrainConfig, forward, pack, stacked_totals, value_and_grad
 
 KINK_MARGIN = 1e-3
 DEFAULT_EPS = 1e-5
@@ -80,24 +80,15 @@ def finite_diff_block(params, batch: Batch, base: Forward, cfg, block: str,
                       arr: np.ndarray, eps: float) -> np.ndarray:
     """Central finite differences of the weighted total w.r.t. one tensor of
     `block`, on a packed dataset (objective.pack) whose Forward at params is
-    `base`; each perturbed value re-runs only the encoder `block` drives."""
-
-    def total():
-        f = forward(params, batch, base, (block,))
-        return value_and_grad(params, batch, f, cfg, ())[0].total
-
-    fd = np.zeros_like(arr)
-    flat = arr.ravel()
-    fd_flat = fd.ravel()
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + eps
-        hi = total()
-        flat[k] = orig - eps
-        lo = total()
-        flat[k] = orig
-        fd_flat[k] = (hi - lo) / (2.0 * eps)
-    return fd
+    `base`. The 2 * arr.size perturbed copies of the tensor (each entry moved
+    by +eps, then each by -eps) run as one stacked pass (stacked_totals)."""
+    n = arr.size
+    values = np.repeat(arr[None], 2 * n, axis=0)
+    moved = values.reshape(2, n, n)  # [sign, copy, entry]
+    moved[0, range(n), range(n)] += eps
+    moved[1, range(n), range(n)] -= eps
+    totals = stacked_totals(params, batch, base, cfg, block, arr, values)
+    return ((totals[:n] - totals[n:]) / (2.0 * eps)).reshape(arr.shape)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:

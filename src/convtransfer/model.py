@@ -139,10 +139,13 @@ def represent(params: ModelParams, x, t: int):
     return Representation(r0=r0, rt=rt, ra=ra, t=t), (tr0, trt, tra)
 
 
-def head_scores(params: ModelParams, r0, rt, ra, t: int) -> np.ndarray:
-    """Scores u0.T r0 + u_t.T rt + ua.T ra (no bias) of domain-t points: one
-    point's branch outputs as vectors, or n points' as rows of (n, m) arrays."""
-    return r0 @ params.u0 + rt @ params.u_dom[t] + ra @ params.ua
+def head_scores(outputs, heads) -> np.ndarray:
+    """Scores u0.T r0 + u_t.T rt + ua.T ra (no bias) from a domain's branch
+    outputs (r0, rt, ra) and heads (u0, u_t, ua): one point's outputs as
+    vectors, or n points' as rows of (n, m) arrays. Any output or head may
+    carry a leading axis of stacked copies, each scored as on its own."""
+    (r0, rt, ra), (u0, ut, ua) = outputs, heads
+    return r0 @ u0 + rt @ ut + ra @ ua
 
 
 def classify(params: ModelParams, rep: Representation) -> np.ndarray:
@@ -155,7 +158,7 @@ def classify(params: ModelParams, rep: Representation) -> np.ndarray:
             f"representation shapes {(rep.r0.shape, rep.rt.shape, rep.ra.shape)} "
             f"do not match heads {(params.u0.shape, ut.shape, params.ua.shape)}"
         )
-    return head_scores(params, rep.r0, rep.rt, rep.ra, rep.t)
+    return head_scores((rep.r0, rep.rt, rep.ra), (params.u0, ut, params.ua))
 
 
 def _shapes(dims: Dims) -> dict[str, tuple[int, ...]]:

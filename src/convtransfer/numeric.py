@@ -9,6 +9,7 @@ bit-identical given a seed.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -18,12 +19,18 @@ import numpy as np
 MAX_DRAWS = np.iinfo(np.intp).max // 8
 
 
-def _drawable(shape):
-    """shape, checked to fit the largest array numpy can address."""
+def _drawable(shape, in_memory: bool = False):
+    """shape, checked to fit the largest array numpy can address; with
+    in_memory, its 8-byte entries must also fit the machine's physical memory."""
     dims = tuple(map(int, shape if np.iterable(shape) else (shape,)))
     if math.prod(dims) > MAX_DRAWS:
         raise MemoryError(f"cannot allocate an array of shape {dims}: "
                           f"it exceeds the largest possible size")
+    if in_memory:
+        need, have = 8 * math.prod(dims), os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise MemoryError(f"cannot allocate {need} bytes for draws of shape {dims}: "
+                              f"it exceeds the machine's physical memory of {have} bytes")
     return shape
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Collection
 from dataclasses import astuple, dataclass, fields
+from itertools import combinations
 
 import numpy as np
 
@@ -191,11 +192,85 @@ def forward(params: ModelParams, b: Batch, prev: Forward | None = None,
     traces = [conv_forward_batch(enc, b.x[:, :, rows], b.lengths[rows])
               if prev is None or "f_" + s in changed else prev.traces[k]
               for k, (s, enc, _, rows) in enumerate(branches)]
-    r0, *rt, ra = (tr.output for tr in traces)
-    scores = np.empty((len(r0), params.dims.y_dim))
-    for (t, _), (_, _, _, rows), out in zip(b.segments, branches[1:-1], rt):
-        scores[rows] = head_scores(params, r0[rows], out, ra[rows], t)
-    return Forward(traces=traces, scores=scores)
+    return Forward(traces=traces, scores=_scores(branches, [tr.output for tr in traces]))
+
+
+def _scores(branches, outs, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Head scores of every row from the branch outputs `outs` and the heads
+    of `branches` (_branches order), each segment's rows through its own
+    domain's heads. Outputs or heads may carry a leading axis of stacked
+    copies, whose shape `lead` the scores then carry too."""
+    (_, _, u0, _), *mid, (_, _, ua, _) = branches
+    r0, *rt, ra = outs
+    scores = np.empty((*lead, r0.shape[-2], u0.shape[-1]))
+    for (_, _, ut, rows), out in zip(mid, rt):
+        scores[..., rows, :] = head_scores((r0[..., rows, :], out, ra[..., rows, :]), (u0, ut, ua))
+    return scores
+
+
+def _residuals(b: Batch, outs, scores, theta, err=True, attr=True, means=True, nb=True):
+    """What the loss terms square and sum, from the branch outputs `outs`
+    (_branches order) and head scores of a Batch under the attribute map
+    theta, on the rows the terms read (up to the last segment's end):
+    (outs cut to those rows, the classification error, the attribute residual
+    f_a(X) - theta.T a, f_0's mean over each segment, the neighbor differences
+    of the concatenated target representation). A residual whose flag is off,
+    and the neighbor differences without edges, are None. Any of outs, scores
+    and theta may carry a leading axis of stacked copies; what is computed
+    from them then carries it too.
+    """
+    tgt = b.segments[-1][1]
+    r0, *rt, ra = outs
+    r0, ra = r0[..., :tgt.stop, :], ra[..., :tgt.stop, :]
+    rt[-1] = rt[-1][..., :tgt.stop - tgt.start, :]
+    y = b.y[:tgt.stop]
+    e = g_attr = mu = diff = None
+    if err:
+        e = np.where(y.any(axis=1, keepdims=True), scores[..., :tgt.stop, :] - y, 0.0)
+    if attr:
+        g_attr = ra - b.a[:tgt.stop] @ theta
+    if means:
+        # np.mean's own sum and division, without its call overhead
+        mu = [r0[..., rows, :].sum(axis=-2) / (rows.stop - rows.start) for _, rows in b.segments]
+    if nb and b.edges is not None:
+        parts = [r0[..., tgt, :], rt[-1], ra[..., tgt, :]]
+        lead = max(r0.shape[:-2], rt[-1].shape[:-2], ra.shape[:-2], key=len)
+        if lead:
+            parts = [np.broadcast_to(p, (*lead, *p.shape[-2:])) for p in parts]
+        feats = np.concatenate(parts, axis=-1)
+        # adjacency is symmetric: both orders. np.take, unlike indexing with
+        # [..., src, :], leaves each copy's gathered rows C-contiguous, as the
+        # one-copy gather does, so their sum of squares adds in the same order
+        src, dst = b.edges
+        diff = np.take(feats, src, axis=-2) - np.take(feats, dst, axis=-2)
+    return [r0, *rt, ra], e, g_attr, mu, diff
+
+
+def _sum_squares(x, ndim: int):
+    """Sum of the squared entries of an ndim-D array x (for a vector, its dot
+    product with itself), or of each ndim-D copy along a leading axis of x,
+    copy by copy, so that each sum is the one-copy call itself, whatever
+    order a call over the whole stack would add in."""
+    if x.ndim > ndim:
+        return np.array([_sum_squares(c, ndim) for c in x])
+    return x @ x if ndim == 1 else np.einsum("ij,ij->", x, x)
+
+
+def _breakdown(b: Batch, cfg: TrainConfig, err, g_attr, means, diff) -> ObjectiveBreakdown:
+    """The five terms and the weighted total from _residuals' residuals: floats,
+    or (K,) arrays when the residuals carry a leading axis of K copies."""
+    tgt = b.segments[-1][1]
+    sq = np.einsum("...ij,...ij->...i", err, err)
+    aux, tgt_cls = sq[..., :tgt.start].sum(axis=-1), sq[..., tgt].sum(axis=-1)
+    attr = _sum_squares(g_attr, 2)
+    dom = sum((_sum_squares(means[t] - means[t2], 1)
+               for t, t2 in combinations(range(len(means)), 2)), 0.0)
+    nb = 0.0 if diff is None else _sum_squares(diff, 2)
+    total = aux + tgt_cls + cfg.c1 * attr + cfg.c2 * dom + cfg.c3 * nb
+    if not isinstance(total, np.ndarray):  # one copy: plain floats
+        aux, tgt_cls, attr, dom, nb, total = map(float, (aux, tgt_cls, attr, dom, nb, total))
+    return ObjectiveBreakdown(aux_cls=aux, tgt_cls=tgt_cls, attr_map=attr,
+                              dom_match=dom, neighbor=nb, total=total)
 
 
 def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
@@ -215,46 +290,28 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     T = params.n_domains
     tgt = b.segments[-1][1]
     asked = set(grad)
-    # the terms read the rows up to the last segment's end, and only those
-    r0, *rt, ra = (tr.output for tr in f.traces)
-    r0, rt[-1], ra = r0[:tgt.stop], rt[-1][:tgt.stop - tgt.start], ra[:tgt.stop]
-    y, a, scores = b.y[:tgt.stop], b.a[:tgt.stop], f.scores[:tgt.stop]
     # besides the breakdown, every block but theta reads the classification
     # error, theta and f_a the attribute residual, f_0 the domain means, and
     # f_0, f_T and f_a the neighbor differences
-    if value or asked - {"theta"}:
-        err = np.where(y.any(axis=1, keepdims=True), scores - y, 0.0)
-    if value or cfg.c1 != 0.0 and asked & {"theta", "f_a"}:
-        g_attr = ra - a @ params.theta
-    if value or cfg.c2 != 0.0 and T > 1 and "f_0" in asked:
-        means = [r0[rows].mean(axis=0) for _, rows in b.segments]
-    if b.edges is not None and (value or cfg.c3 != 0.0 and asked & {"f_0", f"f_{T}", "f_a"}):
-        src, dst = b.edges
-        feats = np.concatenate([r0[tgt], rt[-1], ra[tgt]], axis=1)
-        diff = feats[src] - feats[dst]  # adjacency is symmetric: both orders
-    bd = None
-    if value:
-        sq = np.einsum("ij,ij->i", err, err)
-        aux, tgt_cls = float(sq[:tgt.start].sum()), float(sq[tgt].sum())
-        attr = float(np.einsum("ij,ij->", g_attr, g_attr))
-        dom = sum((float((means[t] - means[t2]) @ (means[t] - means[t2]))
-                   for t in range(T) for t2 in range(t + 1, T)), 0.0)
-        nb = 0.0 if b.edges is None else float(np.einsum("ij,ij->", diff, diff))
-        total = aux + tgt_cls + cfg.c1 * attr + cfg.c2 * dom + cfg.c3 * nb
-        bd = ObjectiveBreakdown(aux_cls=aux, tgt_cls=tgt_cls, attr_map=attr,
-                                dom_match=dom, neighbor=nb, total=total)
+    outs, *res = _residuals(b, [tr.output for tr in f.traces], f.scores, params.theta,
+                            err=value or asked - {"theta"},
+                            attr=value or cfg.c1 != 0.0 and asked & {"theta", "f_a"},
+                            means=value or cfg.c2 != 0.0 and T > 1 and "f_0" in asked,
+                            nb=value or cfg.c3 != 0.0 and asked & {"f_0", f"f_{T}", "f_a"})
+    bd = _breakdown(b, cfg, *res) if value else None
     if not grad:
         return bd, {}
+    err, g_attr, means, diff = res
 
     # head and theta blocks; "0.0 +" starts each sum from +0.0, as conv_backward_batch does
     branches = _branches(params, b)
     # classification terms; unlabeled rows are zero
     gsc = 2.0 * err if asked - {"theta"} else None
     gs = {"u_" + s: (0.0 + out.T @ gsc[rows],)
-          for (s, _, _, rows), out in zip(branches, (r0, *rt, ra)) if "u_" + s in grad}
+          for (s, _, _, rows), out in zip(branches, outs) if "u_" + s in grad}
     if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
         gs["theta"] = (np.zeros_like(params.theta) if cfg.c1 == 0.0
-                       else 0.0 + -2.0 * cfg.c1 * (a.T @ g_attr),)
+                       else 0.0 + -2.0 * cfg.c1 * (b.a[:tgt.stop].T @ g_attr),)
 
     # upstream terms of the asked-for encoders only, keyed by branch suffix
     ups = {s: gsc[rows] @ head.T for s, _, head, rows in branches if "f_" + s in asked}
@@ -269,23 +326,53 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
             delta = 2.0 * sum((means[t] - means[t2]) for t2 in range(T) if t2 != t)
             ups["0"][rows] += cfg.c2 / (rows.stop - rows.start) * delta
 
-    # neighbor smoothness term (weight c3), target branch only
+    # neighbor smoothness term (weight c3), target branch only; np.add.at adds
+    # each column on its own, so it runs over the asked-for encoders' columns only
     if cfg.c3 != 0.0 and b.edges is not None and ups.keys() & {"0", str(T), "a"}:
-        dfeat = np.zeros_like(feats)
-        np.add.at(dfeat, src, diff)
-        dfeat *= 4.0 * cfg.c3
         m0, mt = params.dims.m0, params.dims.mt[T - 1]
-        for s, rows, cols in (("0", tgt, slice(None, m0)),
-                              (str(T), slice(None), slice(m0, m0 + mt)),
-                              ("a", tgt, slice(m0 + mt, None))):
-            if s in ups:
-                ups[s][rows] += dfeat[:, cols]
+        spans = [(s, rows, cols) for s, rows, cols in (("0", tgt, slice(None, m0)),
+                                                        (str(T), slice(None), slice(m0, m0 + mt)),
+                                                        ("a", tgt, slice(m0 + mt, None)))
+                 if s in ups]
+        dfeat = np.zeros((tgt.stop - tgt.start, diff.shape[1]))
+        cols = slice(spans[0][2].start, spans[-1][2].stop)
+        np.add.at(dfeat[:, cols], b.edges[0], diff[:, cols])
+        dfeat *= 4.0 * cfg.c3
+        for s, rows, cols in spans:
+            ups[s][rows] += dfeat[:, cols]
 
     # backward through the encoders of the asked-for blocks
     for (s, enc, _, _), trace in zip(branches, f.traces):
         if s in ups:
             gs["f_" + s] = conv_backward_batch(enc, trace, ups[s])
     return bd, {block: gs[block] for block in grad}
+
+
+def stacked_totals(params: ModelParams, b: Batch, base: Forward, cfg: TrainConfig,
+                   block: str, arr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The weighted totals of a packed dataset with the tensor `arr` of
+    `block` replaced by each of the K arrays in `values`, from base, its
+    Forward at params: a (K,) array, bit for bit the totals of K fresh
+    forwards. The K copies run at once along a leading axis: an encoder
+    tensor's in one conv_forward_batch call over a bank of K * m filters (each
+    filter's pre-activations are computed as in a bank of its own), a head's
+    or theta's through stacked products, with no encoder run."""
+    K = len(values)
+    branches = _branches(params, b)
+    outs = [tr.output for tr in base.traces]
+    for k, (s, enc, _, rows) in enumerate(branches):
+        if block == "f_" + s:
+            filters, bias = (values if t is arr else np.broadcast_to(t, (K, *t.shape))
+                             for t in (enc.filters, enc.bias))
+            bank = ConvBlock(filters.reshape(-1, enc.d, enc.w), bias.reshape(-1))
+            out = conv_forward_batch(bank, b.x[:, :, rows], b.lengths[rows]).output
+            # (n, K * m) viewed as (K, n, m): each copy keeps one encoder's (n, m) strides
+            outs[k] = out.reshape(len(out), K, enc.m).transpose(1, 0, 2)
+        elif block == "u_" + s:
+            branches[k] = (s, enc, values, rows)
+    scores = base.scores if block == "theta" else _scores(branches, outs, (K,))
+    theta = values if block == "theta" else params.theta
+    return _breakdown(b, cfg, *_residuals(b, outs, scores, theta)[1:]).total
 
 
 def objective(params: ModelParams, ds: MultiDomainDataset,

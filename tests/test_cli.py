@@ -481,7 +481,28 @@ class TestEval:
         assert "int too large" in capsys.readouterr().err
 
 
+# perfbench's gradcheck command prints exactly these lines
+GRADCHECK_SEED0_STDOUT = """\
+block f_0: max relative error 2.003e-08 [ok]
+block f_1: max relative error 9.074e-09 [ok]
+block f_2: max relative error 2.625e-08 [ok]
+block f_3: max relative error 1.063e-07 [ok]
+block f_a: max relative error 8.743e-09 [ok]
+block theta: max relative error 1.798e-09 [ok]
+block u_0: max relative error 6.658e-11 [ok]
+block u_1: max relative error 8.972e-10 [ok]
+block u_2: max relative error 1.773e-09 [ok]
+block u_3: max relative error 7.569e-10 [ok]
+block u_a: max relative error 1.298e-10 [ok]
+gradient check passed over 2 instance(s)
+"""
+
+
 class TestGradcheck:
+    def test_stdout_is_pinned(self, capsys):
+        assert main(["gradcheck", "--seed", "0", "--set", "instances=2"]) == EXIT_OK
+        assert capsys.readouterr().out == GRADCHECK_SEED0_STDOUT
+
     def test_passes_and_reports_blocks(self, capsys):
         rc = main(["gradcheck", "--seed", "0", "--set", "instances=1"])
         assert rc == EXIT_OK
@@ -557,4 +578,19 @@ def test_oversized_dimension_is_one_line_out_of_memory(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
     assert "Traceback" not in err and str(size) in err
+    assert not out.exists()
+
+
+def test_whole_draw_past_physical_memory_is_one_line_out_of_memory(tmp_path, capsys, monkeypatch):
+    # 3 domains of 10**16 points fit numpy's largest array but no machine's
+    # memory; the check comes before the first draw, so no draw may happen
+    def no_draws(seed):
+        raise AssertionError("synth drew before checking the whole draw")
+
+    monkeypatch.setattr(dataset, "Rng", no_draws)
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--set", f"points_per_domain={10**16}"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert str(10**16) in err and "physical memory" in err
     assert not out.exists()

@@ -417,10 +417,10 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _smooth_batch(n_domains=2):
+def _smooth_batch(n_domains=2, with_graph=True):
     params, ds, graph, cfg = random_smooth_instance(3, points_per_domain=2, n_domains=n_domains,
                                                     d=4, m=3)
-    return params, pack(params, ds, graph), cfg
+    return params, pack(params, ds, graph if with_graph else None), cfg
 
 
 BLOCKS = list(make_params().blocks())
@@ -496,27 +496,37 @@ class TestReuse:
                 assert np.any(g_full) or (block, zeroed) == ("theta", "c1")
                 assert _same_bits(g_one, g_full), (n_domains, zeroed)
 
-    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("block", list(_smooth_batch(3)[0].blocks()))
     def test_finite_diff_block_equals_fresh_forward_differences(self, block):
-        params, b, cfg = _smooth_batch()
-        base = forward(params, b)
+        # all perturbed copies of a tensor run stacked; each difference equals
+        # the one of two fresh forwards, for T = 1, 2 and 3, with each weight
+        # zeroed, and on a batch packed without a graph (no edges)
         eps = gradcheck.DEFAULT_EPS
+        for n_domains, zeroed, with_graph in [(1, None, True), (2, None, True), (3, None, True),
+                                              (3, "c1", True), (3, "c2", True), (3, "c3", True),
+                                              (3, None, False)]:
+            params, b, cfg = _smooth_batch(n_domains, with_graph)
+            if zeroed:
+                cfg = dataclasses.replace(cfg, **{zeroed: 0.0})
+            if block not in params.blocks():
+                continue
+            base = forward(params, b)
 
-        def fresh_total():
-            return value_and_grad(params, b, forward(params, b), cfg, ())[0].total
+            def fresh_total():
+                return value_and_grad(params, b, forward(params, b), cfg, ())[0].total
 
-        for key, arr in enumerate(params.blocks()[block]):
-            got = finite_diff_block(params, b, base, cfg, block, arr, eps)
-            want = np.zeros_like(arr)
-            for k in range(arr.size):
-                orig = arr.flat[k]
-                arr.flat[k] = orig + eps
-                hi = fresh_total()
-                arr.flat[k] = orig - eps
-                lo = fresh_total()
-                arr.flat[k] = orig
-                want.flat[k] = (hi - lo) / (2.0 * eps)
-            assert _same_bits(got, want), key
+            for key, arr in enumerate(params.blocks()[block]):
+                got = finite_diff_block(params, b, base, cfg, block, arr, eps)
+                want = np.zeros_like(arr)
+                for k in range(arr.size):
+                    orig = arr.flat[k]
+                    arr.flat[k] = orig + eps
+                    hi = fresh_total()
+                    arr.flat[k] = orig - eps
+                    lo = fresh_total()
+                    arr.flat[k] = orig
+                    want.flat[k] = (hi - lo) / (2.0 * eps)
+                assert _same_bits(got, want), (n_domains, zeroed, with_graph, key)
 
 
 @pytest.fixture
@@ -545,11 +555,10 @@ class TestKernelCalls:
         kernel_calls.update(forward=0, backward=0)
         gradient_check(params, ds, graph, cfg)
         T = params.n_domains
-        encoder_entries = sum(arr.size for block, _, arr in params.named_tensors()
-                              if block.startswith("f_"))
-        # one forward of the T + 2 encoders, then one encoder per perturbed
-        # value of an encoder entry (two per entry) and none for a head entry
-        assert kernel_calls["forward"] == (T + 2) + 2 * encoder_entries == 525
+        encoder_tensors = sum(block.startswith("f_") for block, _, _ in params.named_tensors())
+        # one forward of the T + 2 encoders, then one encoder run per encoder
+        # tensor (all its perturbed copies stacked) and none for a head entry
+        assert kernel_calls["forward"] == (T + 2) + encoder_tensors == 15
         assert kernel_calls["backward"] == T + 2
 
     @pytest.mark.parametrize("mode", ["joint", "block-cyclic"])
