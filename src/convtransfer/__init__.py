@@ -45,7 +45,6 @@ from .objective import (
     evaluate,
     gradient,
     neighbor_loss,
-    objective,
     train,
     write_trajectory_csv,
 )

@@ -299,8 +299,6 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
                             means=value or cfg.c2 != 0.0 and T > 1 and "f_0" in asked,
                             nb=value or cfg.c3 != 0.0 and asked & {"f_0", f"f_{T}", "f_a"})
     bd = _breakdown(b, cfg, *res) if value else None
-    if not grad:
-        return bd, {}
     err, g_attr, means, diff = res
 
     # head and theta blocks; "0.0 +" starts each sum from +0.0, as conv_backward_batch does
@@ -439,6 +437,23 @@ def write_trajectory_csv(rows: list[TrajectoryRow], path: str) -> None:
             f.write(str(r.iteration) + "," + ",".join(repr(v) for v in vals) + "\n")
 
 
+def _iterate(params: ModelParams, b: Batch, f: Forward, gs: dict, sweep: list[dict],
+             cfg: TrainConfig, tau: float) -> tuple[Forward, ObjectiveBreakdown, dict]:
+    """One iteration: each step of `sweep` ({block: its arrays}) moves its blocks by -tau
+    times their gradient (for the first step gs, which came with f, the Forward of params)
+    and re-runs only their encoders. Returns the new Forward, its breakdown and sweep[0]'s
+    gradient, the next call's f and gs; the f and gs given are left as they were."""
+    for k, step in enumerate(sweep):
+        if k:
+            gs = value_and_grad(params, b, f, cfg, step, value=False)[1]
+        for block, arrs in step.items():
+            for arr, grad in zip(arrs, gs[block]):
+                arr -= tau * grad
+        f = forward(params, b, f, step)
+    bd, gs = value_and_grad(params, b, f, cfg, sweep[0])
+    return f, bd, gs
+
+
 # a non-finite total ends training in DivergenceError, so numpy's overflow and
 # invalid-value warnings on the way there would only repeat it
 @np.errstate(all="ignore")
@@ -469,24 +484,19 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     # joint mode steps every block at once; block-cyclic steps one block per
     # gradient, in named_tensors() order
     blocks = params.blocks()
-    sweep = [blocks] if cfg.update_mode == "joint" else [(block,) for block in blocks]
+    sweep = [blocks] if cfg.update_mode == "joint" else [{block: arrs} for block, arrs in blocks.items()]
 
     f = forward(params, batch)
-    rows: list[TrajectoryRow] = []
-    for it in range(cfg.max_iters + 1):
-        for k, step in enumerate(sweep if it else ()):  # row 0 is the initial state
-            if k:
-                gs = value_and_grad(params, batch, f, cfg, step, value=False)[1]
-            for block in step:
-                for arr, grad in zip(blocks[block], gs[block]):
-                    arr -= cfg.tau * grad
-            f = forward(params, batch, f, step)
-        bd, gs = value_and_grad(params, batch, f, cfg, sweep[0] if it < cfg.max_iters else ())
+    bd, gs = value_and_grad(params, batch, f, cfg, sweep[0])
+    if not math.isfinite(bd.total):
+        raise DivergenceError(0, cfg.tau, bd)
+    rows = [TrajectoryRow(0, bd, _accuracy(f.scores[test], batch.y[test]))]
+    for it in range(1, cfg.max_iters + 1):
+        f, bd, gs = _iterate(params, batch, f, gs, sweep, cfg, cfg.tau)
         if not math.isfinite(bd.total):
             raise DivergenceError(it, cfg.tau, bd)
         rows.append(TrajectoryRow(it, bd, _accuracy(f.scores[test], batch.y[test])))
-        if it:  # row 0 has no predecessor to compare with
-            prev = rows[-2].breakdown.total
-            if abs(bd.total - prev) <= EARLY_STOP_REL_TOL * max(abs(prev), 1e-300):
-                break
+        prev = rows[-2].breakdown.total
+        if abs(bd.total - prev) <= EARLY_STOP_REL_TOL * max(abs(prev), 1e-300):
+            break
     return params, rows

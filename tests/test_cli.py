@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import importlib
 import json
 import os
 import re
@@ -11,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import convtransfer.objective as objective_module
 from convtransfer import cli, dataset
 from convtransfer.cli import (
     EXIT_CONFIG,
@@ -31,8 +31,6 @@ from convtransfer.dataset import (
 )
 from convtransfer.model import Dims, init_params, save_params
 from convtransfer.numeric import Rng
-
-objective_module = importlib.import_module("convtransfer.objective")
 
 SMALL_SYNTH = ["--set", "domains=2", "--set", "points_per_domain=8",
                "--set", "feature_dim=4", "--set", "attr_dim=5",

@@ -1,9 +1,10 @@
 import dataclasses
-import importlib
+import types
 
 import numpy as np
 import pytest
 
+import convtransfer.objective as objective_module
 from convtransfer import gradcheck
 from convtransfer.convnet import ConvBlock
 from convtransfer.dataset import (
@@ -34,9 +35,6 @@ from convtransfer.objective import (
     train,
     value_and_grad,
 )
-
-# the package re-exports the function objective under the module's name
-objective_module = importlib.import_module("convtransfer.objective")
 
 DIMS = Dims(d=3, a_dim=2, y_dim=2, m0=2, ma=2, mt=(2, 2), w=2)
 
@@ -388,6 +386,13 @@ class TestGradient:
             assert all(g.dtype == np.float64 for g in gs[block]), block
 
 
+def test_importing_the_submodule_binds_the_module():
+    # the package re-exports no function under its submodule's name
+    import convtransfer.objective as m
+    assert isinstance(m, types.ModuleType)
+    assert m.objective is objective
+
+
 def test_blocks_are_the_parameters_grouped():
     params = make_params(20)
     blocks = params.blocks()
@@ -585,6 +590,15 @@ class TestKernelCalls:
             T = ds.n_domains
             assert counts[1]["forward"] - counts[0]["forward"] == T + 2, split
             assert counts[1]["backward"] - counts[0]["backward"] == T + 2, split
+            # whole runs: row 0 and every iteration end in one forward and
+            # the gradient of the sweep's first step (every block in joint
+            # mode, f_0 alone in block-cyclic mode); a block-cyclic sweep
+            # runs each other encoder's backward before its step
+            for iters, count in zip((2, 3), counts):
+                assert count["forward"] == (T + 2) * (iters + 1), split
+                assert count["backward"] == ((T + 2) * (iters + 1) if mode == "joint"
+                                             else 1 + (T + 2) * iters), split
+            assert counts[0] == {"forward": 15, "backward": 15 if mode == "joint" else 11}, split
 
     def test_block_cyclic_training_builds_one_breakdown_per_iteration(self, monkeypatch):
         # the mid-sweep steps need only their gradient; the breakdown comes

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -21,10 +21,14 @@ from convtransfer.objective import (
     DivergenceError,
     ObjectiveBreakdown,
     TrainConfig,
+    _iterate,
     evaluate,
+    forward,
     gradient,
     objective,
+    pack,
     train,
+    value_and_grad,
     write_trajectory_csv,
 )
 
@@ -177,6 +181,61 @@ def test_training_matches_full_recompute_reference(n_domains, mode):
     assert len(rows) == len(want_rows) == cfg.max_iters + 1
     for r, (bd, acc) in zip(rows, want_rows):
         assert repr((astuple(r.breakdown), r.accuracy)) == repr((astuple(bd), acc)), r.iteration
+
+
+def _initial_state(ds, graph, cfg):
+    """What train holds before its first iteration: the initial parameters,
+    the packed batch, the sweep, and the Forward with sweep[0]'s gradient."""
+    T = ds.n_domains
+    dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=cfg.m0, ma=cfg.ma,
+                mt=(cfg.mt,) * T, w=cfg.w)
+    params = init_params(dims, Rng(cfg.seed), cfg.init_range)
+    b = pack(params, ds, graph)
+    blocks = params.blocks()
+    sweep = ([blocks] if cfg.update_mode == "joint"
+             else [{block: arrs} for block, arrs in blocks.items()])
+    f = forward(params, b)
+    return params, b, sweep, f, value_and_grad(params, b, f, cfg, sweep[0])[1]
+
+
+def _bytes(params=None, f=None, gs=None):
+    """The bytes of every parameter tensor, Forward array and gradient array given."""
+    out = [] if params is None else [(key, arr.tobytes()) for _, key, arr in params.named_tensors()]
+    if f is not None:
+        out += [a.tobytes() for tr in f.traces for a in astuple(tr)] + [f.scores.tobytes()]
+    if gs is not None:
+        out += [(block, g.tobytes()) for block, grads in gs.items() for g in grads]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["joint", "block-cyclic"])
+def test_an_iteration_retried_from_a_snapshot_repeats_bit_for_bit(mode):
+    # a step rule that rejects a step restores the parameters and calls
+    # _iterate again with the f and gs it was given before
+    ds, graph = small_instance(7)
+    cfg = TrainConfig(tau=1e-2, max_iters=1, seed=7, update_mode=mode)
+    params, b, sweep, f, gs = _initial_state(ds, graph, cfg)
+    snapshot = [arr.copy() for _, _, arr in params.named_tensors()]
+    given = _bytes(f=f, gs=gs)
+
+    def retry(tau):
+        for (_, _, arr), saved in zip(params.named_tensors(), snapshot):
+            arr[...] = saved
+        new_f, bd, new_gs = _iterate(params, b, f, gs, sweep, cfg, tau)
+        assert _bytes(f=f, gs=gs) == given
+        # the gradient returned is sweep[0]'s at the new parameters
+        full = gradient(params, ds, graph, cfg)
+        assert _bytes(gs=new_gs) == _bytes(gs={block: full[block] for block in sweep[0]})
+        return _bytes(params), new_f.scores.tobytes(), repr(astuple(bd))
+
+    half = retry(cfg.tau / 2)
+    assert retry(cfg.tau / 2) == half
+    whole = retry(cfg.tau)
+    assert whole[0] != half[0]
+    for tau, got in ((cfg.tau, whole), (cfg.tau / 2, half)):
+        want_params, want_rows = train(ds, graph, replace(cfg, tau=tau))
+        assert got[0] == _bytes(want_params), tau
+        assert got[2] == repr(astuple(want_rows[1].breakdown)), tau
 
 
 class TestDeterminism:
