@@ -178,10 +178,15 @@ def _check_writable(cfg: dict, inputs: tuple[str, ...], outputs: tuple[str, ...]
 
 def _load_split(cfg: dict):
     """The dataset at cfg["data"]. An untagged target domain is split by the
-    seed; a tagged one keeps the file's own roles."""
+    seed; a tagged one keeps the file's own roles; one that mixes tagged and
+    untagged points is a data error."""
     ds = load_dataset(cfg["data"])
-    if all(p.role is None for p in ds.target):
+    untagged = [i for i, p in enumerate(ds.target) if p.role is None]
+    if len(untagged) == len(ds.target):
         split_target(ds, cfg["seed"])
+    elif untagged:
+        raise DataError(f"{cfg['data']}: domain {ds.n_domains - 1}, point {untagged[0]}: no role "
+                        f"tag, but other target points have one; tag every target point or none")
     return ds
 
 

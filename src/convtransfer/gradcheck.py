@@ -103,6 +103,8 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return err
 
 
+# a non-finite difference scores inf in relative_error: numpy's warnings would only repeat it
+@np.errstate(all="ignore")
 def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS) -> dict[str, float]:
     """Max relative error between analytic and finite-difference gradients,
     per parameter block."""

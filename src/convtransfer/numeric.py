@@ -55,9 +55,9 @@ class Rng:
     def normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(size=_drawable(shape))
 
-    def integers(self, lo: int, hi: int, shape=None):
-        # draws in [lo, hi)
-        return self._gen.integers(lo, hi, size=shape)
+    def integers(self, lo: int, hi: int):
+        # one draw in [lo, hi)
+        return self._gen.integers(lo, hi)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

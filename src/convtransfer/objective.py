@@ -283,9 +283,10 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     With value=False the breakdown is None, and only what the asked-for blocks
     read is computed; the gradient is the same bit for bit.
 
-    Per-point upstream gradients add their terms in a fixed order
-    (classification, attribute map, domain matching, neighbors), and the
-    encoder gradients sum over points in (domain, point) order.
+    Each asked-for encoder's per-point upstream gradient is built in one
+    place, its terms in a fixed order (classification, attribute map, domain
+    matching, neighbors), and the encoder gradients sum over points in
+    (domain, point) order.
     """
     T = params.n_domains
     tgt = b.segments[-1][1]
@@ -301,48 +302,37 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     bd = _breakdown(b, cfg, *res) if value else None
     err, g_attr, means, diff = res
 
-    # head and theta blocks; "0.0 +" starts each sum from +0.0, as conv_backward_batch does
-    branches = _branches(params, b)
-    # classification terms; unlabeled rows are zero
+    # classification terms; unlabeled rows are zero. "0.0 +" starts each head and
+    # theta sum from +0.0, as conv_backward_batch does
     gsc = 2.0 * err if asked - {"theta"} else None
-    gs = {"u_" + s: (0.0 + out.T @ gsc[rows],)
-          for (s, _, _, rows), out in zip(branches, outs) if "u_" + s in grad}
+    gs = {}
     if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
         gs["theta"] = (np.zeros_like(params.theta) if cfg.c1 == 0.0
                        else 0.0 + -2.0 * cfg.c1 * (b.a[:tgt.stop].T @ g_attr),)
-
-    # upstream terms of the asked-for encoders only, keyed by branch suffix
-    ups = {s: gsc[rows] @ head.T for s, _, head, rows in branches if "f_" + s in asked}
-
-    # attribute-map term (weight c1)
-    if cfg.c1 != 0.0 and "a" in ups:
-        ups["a"] += 2.0 * cfg.c1 * g_attr
-
-    # domain mean-matching term (weight c2)
-    if cfg.c2 != 0.0 and T > 1 and "0" in ups:
-        for t, (_, rows) in enumerate(b.segments):
-            delta = 2.0 * sum((means[t] - means[t2]) for t2 in range(T) if t2 != t)
-            ups["0"][rows] += cfg.c2 / (rows.stop - rows.start) * delta
-
-    # neighbor smoothness term (weight c3), target branch only; np.add.at adds
-    # each column on its own, so it runs over the asked-for encoders' columns only
-    if cfg.c3 != 0.0 and b.edges is not None and ups.keys() & {"0", str(T), "a"}:
-        m0, mt = params.dims.m0, params.dims.mt[T - 1]
-        spans = [(s, rows, cols) for s, rows, cols in (("0", tgt, slice(None, m0)),
-                                                        (str(T), slice(None), slice(m0, m0 + mt)),
-                                                        ("a", tgt, slice(m0 + mt, None)))
-                 if s in ups]
-        dfeat = np.zeros((tgt.stop - tgt.start, diff.shape[1]))
-        cols = slice(spans[0][2].start, spans[-1][2].stop)
-        np.add.at(dfeat[:, cols], b.edges[0], diff[:, cols])
-        dfeat *= 4.0 * cfg.c3
-        for s, rows, cols in spans:
-            ups[s][rows] += dfeat[:, cols]
-
-    # backward through the encoders of the asked-for blocks
-    for (s, enc, _, _), trace in zip(branches, f.traces):
-        if s in ups:
-            gs["f_" + s] = conv_backward_batch(enc, trace, ups[s])
+    # the columns of f_0, f_T and f_a in the neighbor differences ([f_0; f_T; f_a])
+    m0, mt = params.dims.m0, params.dims.mt[T - 1]
+    nb_cols = {"0": slice(None, m0), str(T): slice(m0, m0 + mt), "a": slice(m0 + mt, None)}
+    nt = tgt.stop - tgt.start
+    for (s, enc, head, rows), out, trace in zip(_branches(params, b), outs, f.traces):
+        if "u_" + s in asked:
+            gs["u_" + s] = (0.0 + out.T @ gsc[rows],)
+        if "f_" + s not in asked:
+            continue
+        # the encoder's per-point upstream: classification, then the terms below
+        up = gsc[rows] @ head.T
+        if cfg.c1 != 0.0 and s == "a":  # attribute-map term (weight c1)
+            up += 2.0 * cfg.c1 * g_attr
+        if cfg.c2 != 0.0 and T > 1 and s == "0":  # domain mean-matching term (weight c2)
+            for t, (_, seg) in enumerate(b.segments):
+                delta = 2.0 * sum((means[t] - means[t2]) for t2 in range(T) if t2 != t)
+                up[seg] += cfg.c2 / (seg.stop - seg.start) * delta
+        # neighbor smoothness term (weight c3) on the target rows, the last nt of
+        # up; np.add.at adds each column on its own, in edge order
+        if cfg.c3 != 0.0 and b.edges is not None and s in nb_cols:
+            dfeat = np.zeros((nt, up.shape[1]))
+            np.add.at(dfeat, b.edges[0], diff[:, nb_cols[s]])
+            up[-nt:] += 4.0 * cfg.c3 * dfeat
+        gs["f_" + s] = conv_backward_batch(enc, trace, up)
     return bd, {block: gs[block] for block in grad}
 
 

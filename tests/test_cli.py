@@ -303,6 +303,27 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert "labeled target point" in capsys.readouterr().err
 
+    def test_partly_tagged_target_is_data_error_before_any_output(self, tmp_path, capsys):
+        # half the target tagged test, half untagged: neither split rule applies
+        data = synth(tmp_path)
+        ds = load_dataset(str(data))
+        half = len(ds.target) // 2
+        for p in ds.target[:half]:
+            p.role = ROLE_TEST
+        save_dataset(ds, str(data))
+        model = tmp_path / "m.json"
+        dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=4, ma=4, mt=(4, 4), w=2)
+        save_params(init_params(dims, Rng(0)), str(model))
+        expected = (f"data error: {data}: domain 1, point {half}: no role tag, "
+                    f"but other target points have one; tag every target point or none\n")
+        model_out, curve, report = tmp_path / "out.json", tmp_path / "c.csv", tmp_path / "r.json"
+        for argv in (train_args(data, model_out, curve, ["--out", str(report)]),
+                     ["eval", "--model", str(model), "--data", str(data), "--out", str(report)]):
+            capsys.readouterr()
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert capsys.readouterr() == ("", expected), argv[0]
+            assert not any(path.exists() for path in (model_out, curve, report)), argv[0]
+
     def test_unlabeled_test_point_is_data_error_before_any_output(self, tmp_path, capsys):
         data = synth(tmp_path)
         ds = load_dataset(str(data))
@@ -516,6 +537,16 @@ class TestGradcheck:
         assert "FAILED" in capsys.readouterr().err
 
 
+    def test_non_finite_differences_leave_one_stderr_line(self, tmp_path):
+        # numpy's overflow and invalid-value warnings on the way to a
+        # non-finite difference would only repeat the verdict
+        done = run_cli(tmp_path, "gradcheck", "--set", "instances=1", "--set", "eps=1e300")
+        assert done.returncode == EXIT_GRADCHECK
+        assert done.stderr == ("gradient check FAILED for block(s): f_0, f_1, f_2, f_3, f_a, "
+                               "theta, u_0, u_1, u_2, u_3, u_a\n")
+        assert done.stdout.count("[FAIL]") == 11
+
+
 @pytest.mark.parametrize("argv, keys", [
     (["train", "--data", "d.json", "--model", "d.json", "--set", "curve_out=c.csv"],
      "model_out and data"),
@@ -592,3 +623,31 @@ def test_whole_draw_past_physical_memory_is_one_line_out_of_memory(tmp_path, cap
     assert err.startswith("out of memory: ") and err.count("\n") == 1
     assert str(10**16) in err and "physical memory" in err
     assert not out.exists()
+
+
+# rejections that end a run before any work, one row each: the command line
+# (paths relative to a folder holding only data.json and an empty folder/),
+# the exit code, and the key or path that the one stderr line names
+@pytest.mark.parametrize("argv, code, named", [
+    (["synth", "--out", "out.json", "--set", "foo"], EXIT_CONFIG, "'foo'"),
+    (["synth", "--out", "out.json", "--config", "absent.cfg"], EXIT_CONFIG, "absent.cfg"),
+    (["gradcheck", "--set", "instances=0"], EXIT_CONFIG, "instances"),
+    (train_args("data.json", "m.json", "c.csv", ["--set", "max_iters=0"]), EXIT_CONFIG,
+     "max_iters"),
+    (train_args("data.json", "m.json", "c.csv", ["--set", "update_mode=x"]), EXIT_CONFIG,
+     "update_mode"),
+    (["synth", "--out", "out.json", "--set", "l_min=5", "--set", "l_max=3"], EXIT_CONFIG,
+     "l_min=5"),
+    (train_args("data.json", "folder", "c.csv"), EXIT_DATA, "cannot write folder"),
+], ids=["set-without-equals", "missing-config-file", "zero-instances", "zero-max-iters",
+        "unknown-update-mode", "l-min-above-l-max", "model-is-a-directory"])
+def test_rejection_is_one_line_and_writes_nothing(argv, code, named, tmp_path, capsys,
+                                                  monkeypatch):
+    synth(tmp_path)
+    (tmp_path / "folder").mkdir()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err, err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.json", "folder"]
