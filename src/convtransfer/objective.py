@@ -115,7 +115,7 @@ class Batch:
     The points form segments of consecutive rows, each from one domain, and
     then rows that no loss term reads (pack's target test points).
     `edges` lists the neighbor graph's ordered pairs as row offsets into
-    the last segment.
+    the last segment; both arrays are empty without a graph.
     """
 
     x: np.ndarray          # (d, L, n) zero-padded inputs (convnet.pad_columns)
@@ -123,7 +123,7 @@ class Batch:
     a: np.ndarray          # (n, A) attribute vectors
     y: np.ndarray          # (n, Y) labels; zero rows for unlabeled points
     segments: list[tuple[int, slice]]  # (domain index, rows)
-    edges: tuple[np.ndarray, np.ndarray] | None = None
+    edges: tuple[np.ndarray, np.ndarray]
 
 
 def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
@@ -137,7 +137,7 @@ def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
     bounds = np.cumsum([0] + [len(pts) for _, pts in segments])
     return Batch(x=x, lengths=lengths, a=a, y=y,
                  segments=[(t, slice(bounds[k], bounds[k + 1])) for k, (t, _) in enumerate(segments)],
-                 edges=None if graph is None else np.nonzero(graph.matrix()))
+                 edges=(np.empty(0, np.intp),) * 2 if graph is None else np.nonzero(graph.matrix()))
 
 
 def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | None) -> Batch:
@@ -214,10 +214,9 @@ def _residuals(b: Batch, outs, scores, theta, err=True, attr=True, means=True, n
     theta, on the rows the terms read (up to the last segment's end):
     (outs cut to those rows, the classification error, the attribute residual
     f_a(X) - theta.T a, f_0's mean over each segment, the neighbor differences
-    of the concatenated target representation). A residual whose flag is off,
-    and the neighbor differences without edges, are None. Any of outs, scores
-    and theta may carry a leading axis of stacked copies; what is computed
-    from them then carries it too.
+    of the concatenated target representation). A residual whose flag is off
+    is None. Any of outs, scores and theta may carry a leading axis of stacked
+    copies; what is computed from them then carries it too.
     """
     tgt = b.segments[-1][1]
     r0, *rt, ra = outs
@@ -232,7 +231,7 @@ def _residuals(b: Batch, outs, scores, theta, err=True, attr=True, means=True, n
     if means:
         # np.mean's own sum and division, without its call overhead
         mu = [r0[..., rows, :].sum(axis=-2) / (rows.stop - rows.start) for _, rows in b.segments]
-    if nb and b.edges is not None:
+    if nb:
         parts = [r0[..., tgt, :], rt[-1], ra[..., tgt, :]]
         lead = max(r0.shape[:-2], rt[-1].shape[:-2], ra.shape[:-2], key=len)
         if lead:
@@ -265,7 +264,7 @@ def _breakdown(b: Batch, cfg: TrainConfig, err, g_attr, means, diff) -> Objectiv
     attr = _sum_squares(g_attr, 2)
     dom = sum((_sum_squares(means[t] - means[t2], 1)
                for t, t2 in combinations(range(len(means)), 2)), 0.0)
-    nb = 0.0 if diff is None else _sum_squares(diff, 2)
+    nb = _sum_squares(diff, 2)
     total = aux + tgt_cls + cfg.c1 * attr + cfg.c2 * dom + cfg.c3 * nb
     if not isinstance(total, np.ndarray):  # one copy: plain floats
         aux, tgt_cls, attr, dom, nb, total = map(float, (aux, tgt_cls, attr, dom, nb, total))
@@ -286,7 +285,7 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     Each asked-for encoder's per-point upstream gradient is built in one
     place, its terms in a fixed order (classification, attribute map, domain
     matching, neighbors), and the encoder gradients sum over points in
-    (domain, point) order.
+    (domain, point) order; a zero weight, one domain or no edges adds zeros.
     """
     T = params.n_domains
     tgt = b.segments[-1][1]
@@ -296,9 +295,9 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     # f_0, f_T and f_a the neighbor differences
     outs, *res = _residuals(b, [tr.output for tr in f.traces], f.scores, params.theta,
                             err=value or asked - {"theta"},
-                            attr=value or cfg.c1 != 0.0 and asked & {"theta", "f_a"},
-                            means=value or cfg.c2 != 0.0 and T > 1 and "f_0" in asked,
-                            nb=value or cfg.c3 != 0.0 and asked & {"f_0", f"f_{T}", "f_a"})
+                            attr=value or asked & {"theta", "f_a"},
+                            means=value or "f_0" in asked,
+                            nb=value or asked & {"f_0", f"f_{T}", "f_a"})
     bd = _breakdown(b, cfg, *res) if value else None
     err, g_attr, means, diff = res
 
@@ -307,8 +306,7 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     gsc = 2.0 * err if asked - {"theta"} else None
     gs = {}
     if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
-        gs["theta"] = (np.zeros_like(params.theta) if cfg.c1 == 0.0
-                       else 0.0 + -2.0 * cfg.c1 * (b.a[:tgt.stop].T @ g_attr),)
+        gs["theta"] = (0.0 + -2.0 * cfg.c1 * (b.a[:tgt.stop].T @ g_attr),)
     # the columns of f_0, f_T and f_a in the neighbor differences ([f_0; f_T; f_a])
     m0, mt = params.dims.m0, params.dims.mt[T - 1]
     nb_cols = {"0": slice(None, m0), str(T): slice(m0, m0 + mt), "a": slice(m0 + mt, None)}
@@ -320,15 +318,15 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
             continue
         # the encoder's per-point upstream: classification, then the terms below
         up = gsc[rows] @ head.T
-        if cfg.c1 != 0.0 and s == "a":  # attribute-map term (weight c1)
+        if s == "a":  # attribute-map term (weight c1)
             up += 2.0 * cfg.c1 * g_attr
-        if cfg.c2 != 0.0 and T > 1 and s == "0":  # domain mean-matching term (weight c2)
+        if s == "0":  # domain mean-matching term (weight c2)
             for t, (_, seg) in enumerate(b.segments):
                 delta = 2.0 * sum((means[t] - means[t2]) for t2 in range(T) if t2 != t)
                 up[seg] += cfg.c2 / (seg.stop - seg.start) * delta
         # neighbor smoothness term (weight c3) on the target rows, the last nt of
         # up; np.add.at adds each column on its own, in edge order
-        if cfg.c3 != 0.0 and b.edges is not None and s in nb_cols:
+        if s in nb_cols:
             dfeat = np.zeros((nt, up.shape[1]))
             np.add.at(dfeat, b.edges[0], diff[:, nb_cols[s]])
             up[-nt:] += 4.0 * cfg.c3 * dfeat
@@ -393,6 +391,7 @@ def _accuracy(scores: np.ndarray, y: np.ndarray) -> float:
     return int(correct) / len(y) if len(y) else math.nan
 
 
+@np.errstate(all="ignore")  # non-finite scores raise DataError, which warnings would only repeat
 def evaluate(params: ModelParams, points: list[DataPoint], t: int) -> float:
     """Fraction of points whose predicted class matches the label's argmax;
     predictions break score ties toward the lowest class index."""
@@ -403,7 +402,10 @@ def evaluate(params: ModelParams, points: list[DataPoint], t: int) -> float:
     if not 0 <= t < params.n_domains:
         raise ValueError(f"domain index {t} out of range [0, {params.n_domains})")
     b = _batch([(t, points)], params.dims.y_dim)
-    return _accuracy(forward(params, b).scores, b.y)
+    scores = forward(params, b).scores
+    if not np.isfinite(scores).all():
+        raise DataError(f"domain {t}: the model's scores are not finite")
+    return _accuracy(scores, b.y)
 
 
 @dataclass

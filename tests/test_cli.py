@@ -333,8 +333,29 @@ class TestTrain:
         model, curve, report = tmp_path / "m.json", tmp_path / "c.csv", tmp_path / "r.json"
         capsys.readouterr()
         assert main(train_args(data, model, curve, ["--out", str(report)])) == EXIT_DATA
-        assert capsys.readouterr().err == "data error: evaluation requires labeled points\n"
+        assert capsys.readouterr().err == (f"data error: {data}: domain 1, point 2: "
+                                           f"a test point must be labeled\n")
         assert not any(path.exists() for path in (model, curve, report))
+
+    def test_unlabeled_train_labeled_point_is_data_error_before_any_output(self, tmp_path, capsys):
+        # a point tagged train-labeled without a label would silently shrink the labeled budget
+        data = synth(tmp_path)
+        ds = load_dataset(str(data))
+        split_target(ds, 0)
+        i = next(i for i, p in enumerate(ds.target) if p.role == ROLE_LABELED)
+        ds.target[i].y = None
+        save_dataset(ds, str(data))
+        model = tmp_path / "m.json"
+        dims = Dims(d=ds.d, a_dim=ds.a_dim, y_dim=ds.y_dim, m0=4, ma=4, mt=(4, 4), w=2)
+        save_params(init_params(dims, Rng(0)), str(model))
+        expected = f"data error: {data}: domain 1, point {i}: a train-labeled point must be labeled\n"
+        model_out, curve, report = tmp_path / "out.json", tmp_path / "c.csv", tmp_path / "r.json"
+        for argv in (train_args(data, model_out, curve, ["--out", str(report)]),
+                     ["eval", "--model", str(model), "--data", str(data), "--out", str(report)]):
+            capsys.readouterr()
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert capsys.readouterr() == ("", expected), argv[0]
+            assert not any(path.exists() for path in (model_out, curve, report)), argv[0]
 
     def test_empty_domain_is_data_error(self, tmp_path, capsys):
         data = synth(tmp_path)
@@ -463,6 +484,22 @@ class TestEval:
         save_params(init_params(dims, Rng(0)), str(model))
         assert main(["eval", "--model", str(model), "--data", str(data)]) == EXIT_DATA
         assert "labeled" in capsys.readouterr().err
+
+    def test_overflowing_scores_are_one_line_data_error(self, tmp_path):
+        # finite weights whose scores overflow: no accuracy from non-finite
+        # scores, and numpy's overflow warnings would only repeat the error
+        data = synth(tmp_path)
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        assert main(train_args(data, model, tmp_path / "c.csv")) == EXIT_OK
+        doc = json.loads(model.read_text())
+        for key in ("u0", "f_0.filters"):
+            doc["params"][key]["data"] = [1e300] * len(doc["params"][key]["data"])
+        model.write_text(json.dumps(doc))
+        done = run_cli(tmp_path, "eval", "--model", str(model), "--data", str(data),
+                       "--out", str(report))
+        assert done.returncode == EXIT_DATA
+        assert done.stderr == "data error: domain 0: the model's scores are not finite\n"
+        assert not report.exists()
 
     def test_malformed_model_is_data_error(self, tmp_path, capsys):
         data = synth(tmp_path)
@@ -651,3 +688,13 @@ def test_rejection_is_one_line_and_writes_nothing(argv, code, named, tmp_path, c
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.json", "folder"]
+
+
+def test_unwritable_output_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # os.access grants root every path, so the denial is simulated
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "out.json"
+    assert main(["synth", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "permission denied" in err, err
+    assert not any(tmp_path.iterdir())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convtransfer.convnet import ConvBlock, conv_forward
-from convtransfer.dataset import DataError
+from convtransfer.dataset import DataError, DataPoint, MultiDomainDataset
 from convtransfer.model import (
     Dims,
     ModelParams,
@@ -21,6 +21,7 @@ from convtransfer.model import (
     save_params,
 )
 from convtransfer.numeric import Rng
+from convtransfer.objective import evaluate
 
 DIMS = Dims(d=3, a_dim=4, y_dim=2, m0=3, ma=2, mt=(2, 3), w=2)
 
@@ -228,3 +229,36 @@ def test_params_reject_every_tensor_with_one_dimension_off(dims):
             put_tensor(params, key, np.zeros(shape))
             with pytest.raises(ValueError, match=re.escape(key)):
                 dataclasses.replace(params)  # reruns ModelParams' checks
+
+
+BLOCK = ConvBlock(np.zeros((2, 3, 2)), np.zeros(2))
+LABELED = [DataPoint(x=np.zeros((3, 4)), a=np.zeros(4), y=np.eye(2)[0])]
+
+
+# the library's own rejections, one row each: the call, the exception class
+# and part of its message
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ConvBlock(np.zeros((2, 3)), np.zeros(2)), ValueError, "filters must be 3-D"),
+    (lambda: ConvBlock(np.zeros((2, 0, 2)), np.zeros(2)), ValueError,
+     "filter bank dimensions must be positive"),
+    (lambda: ConvBlock(np.zeros((2, 3, 2)), np.zeros(3)), ValueError, "bias must have shape (2,)"),
+    (lambda: conv_forward(BLOCK, np.zeros(3)), ValueError, "conv input must be 2-D"),
+    (lambda: conv_forward(BLOCK, np.zeros((3, 0))), ValueError,
+     "conv input must have positive dimensions"),
+    (lambda: conv_forward(BLOCK, np.full((3, 4), np.nan)), ValueError,
+     "conv input contains non-finite entries"),
+    (lambda: Dims(d=3, a_dim=4, y_dim=2, m0=3, ma=2, mt=(), w=2), ValueError,
+     "per-domain output sizes must be positive"),
+    (lambda: dataclasses.replace(make_params(), f_dom=make_params().f_dom[:1]), ValueError,
+     "expected 2 domain blocks/heads, got 1 blocks and 2 heads"),
+    (lambda: init_params(DIMS, Rng(0), scale=0), ValueError, "init scale must be positive"),
+    (lambda: evaluate(make_params(), LABELED, 2), ValueError, "domain index 2 out of range [0, 2)"),
+    (lambda: MultiDomainDataset(d=3, a_dim=4, y_dim=2, domains=[]), DataError,
+     "dataset must contain at least one domain"),
+], ids=["2d-filters", "zero-filter-dimension", "wrong-bias-shape", "1d-conv-input",
+        "conv-input-without-columns", "nan-conv-input", "no-domains-in-dims",
+        "one-domain-block-too-few", "zero-init-scale", "domain-index-out-of-range",
+        "dataset-without-domains"])
+def test_library_rejection(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -534,6 +534,31 @@ class TestReuse:
                 assert _same_bits(got, want), (n_domains, zeroed, with_graph, key)
 
 
+def test_no_graph_and_an_edgeless_graph_are_the_same_run():
+    # a batch packed without a graph carries an empty edge list, as one packed
+    # with a 0-NN graph does: the breakdown, the gradient and 3 iterations of
+    # training in each mode (rows and parameters) are the same bit for bit
+    params, ds, _, cfg = random_smooth_instance(3, points_per_domain=3)
+
+    def results(graph):
+        b = pack(params, ds, graph)
+        bd, gs = value_and_grad(params, b, forward(params, b), cfg, params.blocks())
+        arrays = [np.array(dataclasses.astuple(bd)), *(g for arrs in gs.values() for g in arrs)]
+        for mode in ("joint", "block-cyclic"):
+            run = dataclasses.replace(cfg, tau=1e-3, max_iters=3, update_mode=mode)
+            trained, rows = train(ds, graph, run)
+            assert len(rows) == 4, mode
+            arrays += [np.array([r.iteration, *dataclasses.astuple(r.breakdown), r.accuracy])
+                       for r in rows]
+            arrays += [arr for _, _, arr in trained.named_tensors()]
+        return arrays
+
+    got = results(None)
+    want = results(build_neighbor_graph(ds.target_train_points(), 0))
+    assert len(got) == len(want)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts of the batched encoder kernels called through objective."""
