@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import gradcheck as gcmod
-from .dataset import ROLE_TEST, ROLE_UNLABELED, DataError, SynthSpec, build_neighbor_graph, generate_synthetic, load_dataset, save_dataset, split_target
+from .dataset import ROLE_TEST, DataError, SynthSpec, build_neighbor_graph, generate_synthetic, load_dataset, save_dataset, split_target
 from .model import load_params, save_params
 from .objective import DivergenceError, TrainConfig, _check_compat, evaluate, train, write_trajectory_csv
 
@@ -177,21 +177,12 @@ def _check_writable(cfg: dict, inputs: tuple[str, ...], outputs: tuple[str, ...]
 
 
 def _load_split(cfg: dict):
-    """The dataset at cfg["data"]. An untagged target domain is split by the
-    seed; a tagged one keeps the file's own roles; one that mixes tagged and
-    untagged points, or has a train-labeled or test point without a label,
-    is a data error."""
+    """The dataset at cfg["data"], its target split as dataset.split_target does."""
     ds = load_dataset(cfg["data"])
-    where = f"{cfg['data']}: domain {ds.n_domains - 1}, point"
-    untagged = [i for i, p in enumerate(ds.target) if p.role is None]
-    if len(untagged) == len(ds.target):
+    try:
         split_target(ds, cfg["seed"])
-    elif untagged:
-        raise DataError(f"{where} {untagged[0]}: no role tag, but other target points "
-                        f"have one; tag every target point or none")
-    for i, p in enumerate(ds.target):
-        if p.y is None and p.role != ROLE_UNLABELED:
-            raise DataError(f"{where} {i}: a {p.role} point must be labeled")
+    except DataError as e:
+        raise DataError(f"{cfg['data']}: {e}") from e
     return ds
 
 

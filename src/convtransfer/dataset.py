@@ -2,9 +2,9 @@
 
 A dataset holds T ordered domains of points; the last domain is the target.
 Auxiliary-domain points are always labeled. Target points carry role tags
-(train-labeled / train-unlabeled / test) after splitting; labels of
-train-unlabeled and test points exist for post-hoc evaluation only and are
-hidden from the trainer.
+(train-labeled / train-unlabeled / test), all or none (split_target tags
+them); labels of train-unlabeled and test points exist for post-hoc
+evaluation only and are hidden from the trainer.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ class MultiDomainDataset:
                 for p in self.target if p.role != ROLE_TEST]
 
 
-def _point_rules(d: int, a_dim: int, y_dim: int, target: bool) -> tuple:
+def _point_rules(d: int, a_dim: int, y_dim: int, target: bool, tagged: bool) -> tuple:
     """The point rules of one domain in the order a point is checked, as
     (test, message) pairs: test maps a list of points to one bool per point,
     and message words one point that fails it. A value rule stacks the
     arrays of its points, so it only runs on points that passed the shape
-    rules above it."""
+    rules above it. The last two are the target-role rules; `tagged` is
+    whether any point of the domain has a tag."""
     def each(rule):
         return lambda pts: np.fromiter(map(rule, pts), dtype=bool, count=len(pts))
 
@@ -118,6 +119,10 @@ def _point_rules(d: int, a_dim: int, y_dim: int, target: bool) -> tuple:
          lambda p: "auxiliary-domain points must be labeled"),
         (each(lambda p: target or p.role is None),
          lambda p: "role tags are only valid in the target domain"),
+        (each(lambda p: p.role is not None or not (target and tagged)),
+         lambda p: "no role tag, but other target points have one; tag every target point or none"),
+        (each(lambda p: p.y is not None or p.role in (None, ROLE_UNLABELED)),
+         lambda p: f"a {p.role} point must be labeled"),
     )
 
 
@@ -134,7 +139,8 @@ def validate_dataset(ds: MultiDomainDataset) -> None:
         # the last failure found is the first rule the first bad point fails;
         # a list of bools is cheaper to search than a small array to reduce
         pts, error = dom, None
-        for test, message in _point_rules(ds.d, ds.a_dim, ds.y_dim, t == ds.n_domains - 1):
+        tagged = any(p.role is not None for p in dom)
+        for test, message in _point_rules(ds.d, ds.a_dim, ds.y_dim, t == ds.n_domains - 1, tagged):
             if pts and False in (ok := test(pts).tolist()):
                 i = ok.index(False)
                 pts, error = pts[:i], f"domain {t}, point {i}: {message(pts[i])}"
@@ -156,11 +162,14 @@ def split_roles(n: int, rng: Rng) -> list[str]:
 
 
 def split_target(ds: MultiDomainDataset, seed: int) -> list[str]:
-    """Assign role tags to the target domain in place; returns the tags."""
-    roles = split_roles(len(ds.target), Rng(seed))
-    for p, role in zip(ds.target, roles):
-        p.role = role
-    return roles
+    """Tag an untagged target domain in place by the seed (split_roles); a
+    tagged one keeps its tags. Returns the target's tags."""
+    if ds.target[0].role is None:  # the role rules allow all tags or none
+        for p, role in zip(ds.target, split_roles(len(ds.target), Rng(seed))):
+            p.role = role
+        if any(p.y is None for p in ds.target):  # a new tag may need a label
+            validate_dataset(ds)
+    return [p.role for p in ds.target]
 
 
 @dataclass
@@ -201,7 +210,8 @@ def build_neighbor_graph(points: list[DataPoint], k: int) -> NeighborGraph:
     if k < 0:
         raise DataError(f"k must be nonnegative, got {k}")
     if k >= n:
-        raise DataError(f"k={k} must be smaller than the number of points n={n}")
+        raise DataError(f"knn_k={k} must be smaller than the number of target points the "
+                        f"trainer sees, n={n}")
     means = np.stack([p.x.mean(axis=1) for p in points])
     diffs = means[:, None, :] - means[None, :, :]
     dist = np.sqrt(np.sum(diffs * diffs, axis=2))

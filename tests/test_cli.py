@@ -357,6 +357,44 @@ class TestTrain:
             assert capsys.readouterr() == ("", expected), argv[0]
             assert not any(path.exists() for path in (model_out, curve, report)), argv[0]
 
+    @pytest.mark.parametrize("seed, role", [(0, ROLE_LABELED), (1, ROLE_TEST), (2, None)])
+    def test_unlabeled_point_of_an_untagged_target_depends_on_the_split(self, tmp_path, capsys,
+                                                                         seed, role):
+        # an untagged target may hold an unlabeled point; the seed's split
+        # decides whether that point lands on a role that needs a label
+        data = tmp_path / "data.json"
+        assert main(["synth", "--seed", "0", "--out", str(data),
+                     "--set", "points_per_domain=8"]) == EXIT_OK
+        doc = json.loads(data.read_text())
+        doc["domains"][2]["points"][0]["y"] = None
+        data.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["train", "--seed", str(seed), "--data", str(data),
+                   "--model", str(tmp_path / "m.json"), "--set", f"curve_out={tmp_path / 'c.csv'}",
+                   "--set", "knn_k=2", "--set", "max_iters=2"])
+        written = sorted(p.name for p in tmp_path.iterdir())
+        if role is None:
+            assert rc == EXIT_OK
+            assert written == ["c.csv", "data.json", "m.json"]
+        else:
+            assert rc == EXIT_DATA
+            assert capsys.readouterr().err == (f"data error: {data}: domain 2, point 0: "
+                                               f"a {role} point must be labeled\n")
+            assert written == ["data.json"]
+
+    def test_too_large_knn_k_names_the_key_and_whose_points(self, tmp_path, capsys):
+        # 8 points per domain leave the trainer 4 target points, fewer than
+        # the default knn_k of 5 needs
+        data = tmp_path / "data.json"
+        assert main(["synth", "--seed", "0", "--out", str(data),
+                     "--set", "points_per_domain=8"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--model", str(tmp_path / "m.json"),
+                     "--set", f"curve_out={tmp_path / 'c.csv'}"]) == EXIT_DATA
+        assert capsys.readouterr().err == ("data error: knn_k=5 must be smaller than the number "
+                                           "of target points the trainer sees, n=4\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json"]
+
     def test_empty_domain_is_data_error(self, tmp_path, capsys):
         data = synth(tmp_path)
         doc = json.loads(data.read_text())
@@ -698,3 +736,46 @@ def test_unwritable_output_is_one_line_and_writes_nothing(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "permission denied" in err, err
     assert not any(tmp_path.iterdir())
+
+
+SWEEP_VALUES = ["0", "-1", "1", "1e-300", "1e300", "nan", "inf", "-0", "0.5", "", "x", "3.0",
+                "1_0"]
+# a small set and model keep the sweep's runs cheap: 2 domains of 8 points
+SWEEP_SYNTH = ["--set", "points_per_domain=8", "--set", "domains=2", "--set", "feature_dim=2",
+               "--set", "attr_dim=2"]
+SWEEP_MODEL = ["--set", "m0=1", "--set", "mt=1", "--set", "ma=1", "--set", "knn_k=1",
+               "--set", "max_iters=2"]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A dataset and a model trained on it, shared by the sweep."""
+    folder = tmp_path_factory.mktemp("sweep")
+    data, model = str(folder / "data.json"), str(folder / "model.json")
+    assert main(["synth", "--out", data, *SWEEP_SYNTH]) == EXIT_OK
+    assert main(["train", "--data", data, "--model", model, *SWEEP_MODEL,
+                 "--set", f"curve_out={folder / 'c.csv'}"]) == EXIT_OK
+    return data, model
+
+
+# every key of every command, each set to every one of SWEEP_VALUES on top of
+# a small run that succeeds; paths given through --set, which a later --set overrides
+@pytest.mark.parametrize("command, key", [(c, k) for c in cli.SCHEMAS for k in cli.SCHEMAS[c]])
+def test_any_set_value_exits_with_a_documented_code(command, key, sweep_inputs, tmp_path,
+                                                    capsys, monkeypatch):
+    data, model = sweep_inputs
+    base = {
+        "synth": ["synth", "--set", "out=out.json", *SWEEP_SYNTH],
+        "train": ["train", "--set", f"data={data}", "--set", "model_out=m.json",
+                  "--set", "curve_out=c.csv", *SWEEP_MODEL],
+        "eval": ["eval", "--set", f"model={model}", "--set", f"data={data}"],
+        "gradcheck": ["gradcheck", "--set", "instances=1"],
+    }[command]
+    for i, value in enumerate(SWEEP_VALUES):
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))
+        capsys.readouterr()
+        rc = main(base + ["--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_GRADCHECK), value
+        assert rc == EXIT_OK or err.count("\n") == 1, (value, err)

@@ -248,7 +248,7 @@ class TestSynthetic:
 
 def small_doc():
     """A hand-written dataset file: one auxiliary point, then a target
-    point tagged test and an unlabeled one."""
+    point tagged test and an unlabeled one tagged train-unlabeled."""
     return {
         "version": 1, "d": 2, "A": 2, "Y": 2,
         "domains": [
@@ -256,7 +256,8 @@ def small_doc():
              "points": [{"x": [[1.0, 2.0], [3.0, 4.0]], "a": [1, 0], "y": [0, 1]}]},
             {"id": 1, "target": True,
              "points": [{"x": [[0.5], [0.25]], "a": [0, 1], "y": [1, 0], "role": "test"},
-                        {"x": [[-1.0], [0.0]], "a": [1, 1], "y": None}]},
+                        {"x": [[-1.0], [0.0]], "a": [1, 1], "y": None,
+                         "role": "train-unlabeled"}]},
         ],
     }
 
@@ -333,6 +334,11 @@ class TestSerialization:
          "domain 0, point 0: role tags are only valid in the target domain"),
         ("unlabeled auxiliary point", lambda doc: doc["domains"][0]["points"][0].update(y=None),
          "domain 0, point 0: auxiliary-domain points must be labeled"),
+        ("mixed tags", lambda doc: doc["domains"][1]["points"][1].pop("role"),
+         "domain 1, point 1: no role tag, but other target points have one; "
+         "tag every target point or none"),
+        ("unlabeled test point", lambda doc: doc["domains"][1]["points"][0].update(y=None),
+         "domain 1, point 0: a test point must be labeled"),
     ]
 
     @pytest.mark.parametrize("change, message", [c[1:] for c in REJECTIONS],
@@ -359,11 +365,13 @@ class TestSerialization:
 
 @st.composite
 def datasets(draw):
-    """Datasets of 1 to 3 domains of 1 to 3 points, with any finite x,
-    every label present or (in the target) absent, and any target roles."""
+    """Datasets of 1 to 3 domains of 1 to 3 points, with any finite x, a role
+    on every target point or on none, and every label present except (in
+    the target) maybe on an untagged or train-unlabeled point."""
     d, a_dim, y_dim = (draw(st.integers(1, 3)) for _ in range(3))
     n_domains = draw(st.integers(1, 3))
     domains = []
+    tagged = draw(st.booleans())
     for t in range(n_domains):
         is_target = t == n_domains - 1
         points = []
@@ -372,10 +380,10 @@ def datasets(draw):
             x = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                               min_size=d * L, max_size=d * L))
             a = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=a_dim, max_size=a_dim))
-            label = draw(st.integers(0, y_dim - 1) | st.none() if is_target
+            role = draw(st.sampled_from(ROLES)) if is_target and tagged else None
+            label = draw(st.integers(0, y_dim - 1) | st.none()
+                         if is_target and role in (None, ROLE_UNLABELED)
                          else st.integers(0, y_dim - 1))
-            role = draw(st.sampled_from((None, ROLE_LABELED, ROLE_UNLABELED, ROLE_TEST))) \
-                if is_target else None
             points.append(DataPoint(x=np.array(x).reshape(d, L), a=a,
                                     y=None if label is None else np.eye(y_dim)[label], role=role))
         domains.append(points)
@@ -416,10 +424,11 @@ def test_training_view_hides_test_points_and_unlabeled_labels(ds):
     assert [[id(p.y) for p in dom] for dom in ds.domains] == labels
 
 
-# A verbatim copy of the point-by-point check validate_dataset replaced, kept
-# here as an oracle independent of the module's rule table.
+# A verbatim copy of the point-by-point check validate_dataset replaced, with
+# the two target-role rules added, kept here as an oracle independent of the
+# module's rule table. `tagged`: some point of the domain has a role tag.
 def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str,
-                 target: bool) -> None:
+                 target: bool, tagged: bool) -> None:
     if p.x.ndim != 2 or p.x.shape[0] != d or p.x.shape[1] < 1:
         raise DataError(f"{where}: x must be {d}xL with L >= 1, got shape {p.x.shape}")
     if not np.isfinite(p.x).all():
@@ -439,14 +448,20 @@ def _check_point(p: DataPoint, d: int, a_dim: int, y_dim: int, where: str,
         raise DataError(f"{where}: auxiliary-domain points must be labeled")
     if not target and p.role is not None:
         raise DataError(f"{where}: role tags are only valid in the target domain")
+    if target and tagged and p.role is None:
+        raise DataError(f"{where}: no role tag, but other target points have one; "
+                        f"tag every target point or none")
+    if p.y is None and p.role in (ROLE_LABELED, ROLE_TEST):
+        raise DataError(f"{where}: a {p.role} point must be labeled")
 
 
 def reference_validate(ds):
     """The point-by-point loop over the oracle check."""
     for t, dom in enumerate(ds.domains):
+        tagged = any(p.role is not None for p in dom)
         for i, p in enumerate(dom):
             _check_point(p, ds.d, ds.a_dim, ds.y_dim, f"domain {t}, point {i}",
-                         t == ds.n_domains - 1)
+                         t == ds.n_domains - 1, tagged)
 
 
 def _message(check, ds):
@@ -496,11 +511,16 @@ def _fault(p, kind, ds):
         p.y = None
     elif kind == "role":  # a fault in an auxiliary domain only
         p.role = ROLE_TEST
+    elif kind == "mixed tags":  # a fault in a target of two or more points
+        p.role = None if p.role else ROLE_LABELED
+    elif kind == "unlabeled test point":
+        p.role, p.y = ROLE_TEST, None
 
 
 FAULTS = ["x rows", "x without columns", "x one-dimensional", "nan x", "inf x", "a length",
           "a two-dimensional", "non-binary a", "nan a", "y length", "y two-dimensional",
-          "nan y", "zero y", "two-hot y", "unknown role", "no label", "role"]
+          "nan y", "zero y", "two-hot y", "unknown role", "no label", "role", "mixed tags",
+          "unlabeled test point"]
 LABEL_FAULTS = ("y length", "y two-dimensional", "nan y", "zero y", "two-hot y")
 
 

@@ -8,6 +8,7 @@ import convtransfer.objective as objective_module
 from convtransfer import gradcheck
 from convtransfer.convnet import ConvBlock
 from convtransfer.dataset import (
+    ROLE_LABELED,
     ROLE_TEST,
     ROLE_UNLABELED,
     DataError,
@@ -268,11 +269,14 @@ class TestObjective:
                                                (ROLE_UNLABELED, True)])
     def test_rejects_points_hidden_from_the_trainer(self, role, labeled):
         # a tagged dataset gives, bit for bit, what a dataset holding only
-        # the trainer's target points gives, and not what the untagged one does;
+        # the trainer's target points gives, and not what it gives with point 1
+        # untagged;
         # also with two more test points, one wider than every training point,
         # so that only test rows widen the packed batch
         for extra in (0, 2):
             ds = tiny_dataset(21)
+            for p in ds.target:
+                p.role = ROLE_LABELED
             ds.target[1].role = role
             if not labeled:
                 ds.target[1].y = None
