@@ -6,15 +6,8 @@ this script; the printed table samples every 20 iterations.
 
 import os
 
-from convtransfer import (
-    SynthSpec,
-    TrainConfig,
-    build_neighbor_graph,
-    generate_synthetic,
-    split_target,
-    train,
-    write_trajectory_csv,
-)
+from convtransfer.dataset import SynthSpec, build_neighbor_graph, generate_synthetic, split_target
+from convtransfer.objective import TrainConfig, train, write_trajectory_csv
 
 ds = generate_synthetic(SynthSpec(), seed=2)
 split_target(ds, seed=2)

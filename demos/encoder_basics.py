@@ -7,7 +7,7 @@ narrower than the filter window are zero-padded on the right.
 
 import numpy as np
 
-from convtransfer import ConvBlock, conv_backward, conv_forward
+from convtransfer.convnet import ConvBlock, conv_backward, conv_forward
 
 rng = np.random.default_rng(0)
 

@@ -5,7 +5,7 @@ winning pre-activation is away from the ReLU kink, so the objective is
 differentiable at the evaluation point and the comparison is meaningful.
 """
 
-from convtransfer import gradient_check, random_smooth_instance
+from convtransfer.gradcheck import gradient_check, random_smooth_instance
 
 for seed in range(3):
     params, ds, graph, cfg = random_smooth_instance(seed)

@@ -5,15 +5,14 @@ trains on the auxiliary domains and the three coupling terms (attribute map,
 domain matching, neighbor smoothness); the baseline turns all of that off.
 """
 
-from convtransfer import (
+from convtransfer.dataset import (
     MultiDomainDataset,
     SynthSpec,
-    TrainConfig,
     build_neighbor_graph,
     generate_synthetic,
     split_target,
-    train,
 )
+from convtransfer.objective import TrainConfig, train
 
 SEEDS = range(10)  # per-seed test sets are tiny, so average over many
 # a label-starved target: 8 points/domain leaves the baseline with only

@@ -156,13 +156,15 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def _check_writable(cfg: dict, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
-    """Fail before any work if an output key's file is an input's or another output's,
+    """Fail before any work if an output key's file is empty, an input's or another output's,
     or cannot be written: its directory must exist and it must not be a directory."""
     named = {os.path.realpath(cfg[key]): key for key in inputs}
     for key in outputs:
         path = cfg[key]
         if path is None:
             continue
+        if not path:
+            raise FileNotFoundError(f"cannot write {key}: its path is empty")
         real = os.path.realpath(path)
         if real in named:
             raise ConfigError(f"{key} and {named[real]} name the same file {path}")

@@ -79,30 +79,23 @@ class ModelParams:
         self.u0 = np.asarray(self.u0, dtype=np.float64)
         self.ua = np.asarray(self.ua, dtype=np.float64)
         self.u_dom = [np.asarray(u, dtype=np.float64) for u in self.u_dom]
-        shapes = _shapes(d)
-        for _, key, arr in self.named_tensors():
-            if arr.shape != shapes[key]:
-                raise ValueError(f"{key} has shape {arr.shape}, expected {shapes[key]}")
+        for (_, key, arr), (_, _, shape) in zip(self.named_tensors(), _layout(d)):
+            if arr.shape != shape:
+                raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
 
     @property
     def n_domains(self) -> int:
         return self.dims.n_domains
 
     def named_tensors(self) -> list[tuple[str, str, np.ndarray]]:
-        """Every learnable tensor as (block, key, array), in block-cyclic order.
-
-        Blocks are f_0, f_1..f_T (the domain encoders, numbered from 1; f_T
-        is the target's), f_a, theta, u_0, u_1..u_T, u_a. Keys are the model
-        file's. The arrays are the parameters themselves, not copies.
-        """
-        out = [("f_0", "f_0.filters", self.f_0.filters), ("f_0", "f_0.bias", self.f_0.bias)]
-        for t, b in enumerate(self.f_dom):
-            out += [(f"f_{t + 1}", f"f_dom.{t}.filters", b.filters),
-                    (f"f_{t + 1}", f"f_dom.{t}.bias", b.bias)]
-        out += [("f_a", "f_a.filters", self.f_a.filters), ("f_a", "f_a.bias", self.f_a.bias),
-                ("theta", "theta", self.theta), ("u_0", "u0", self.u0)]
-        out += [(f"u_{t + 1}", f"u_dom.{t}", u) for t, u in enumerate(self.u_dom)]
-        out.append(("u_a", "ua", self.ua))
+        """Every learnable tensor as (block, key, array), in _layout's
+        block-cyclic order. The arrays are the parameters themselves, not copies."""
+        out = []
+        for block, key, _ in _layout(self.dims):
+            arr = self
+            for part in key.split("."):
+                arr = arr[int(part)] if part.isdigit() else getattr(arr, part)
+            out.append((block, key, arr))
         return out
 
     def blocks(self) -> dict[str, tuple[np.ndarray, ...]]:
@@ -161,24 +154,29 @@ def classify(params: ModelParams, rep: Representation) -> np.ndarray:
     return head_scores((rep.r0, rep.rt, rep.ra), (params.u0, ut, params.ua))
 
 
-def _shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
-    """Each model-file key mapped to its tensor's shape, in the fixed draw
-    order f_a, f_0, per-domain blocks, theta, u0, ua, heads."""
-    blocks = [("f_a", dims.ma), ("f_0", dims.m0)]
-    blocks += [(f"f_dom.{t}", m) for t, m in enumerate(dims.mt)]
-    shapes = {}
-    for name, m in blocks:
-        shapes[f"{name}.filters"] = (m, dims.d, dims.w)
-        shapes[f"{name}.bias"] = (m,)
-    shapes.update(theta=(dims.a_dim, dims.ma), u0=(dims.m0, dims.y_dim), ua=(dims.ma, dims.y_dim))
-    shapes.update({f"u_dom.{t}": (m, dims.y_dim) for t, m in enumerate(dims.mt)})
-    return shapes
+# the order in which init_params draws the tensors, by each key's first part
+DRAW_ORDER = ("f_a", "f_0", "f_dom", "theta", "u0", "ua", "u_dom")
+
+
+def _layout(dims: Dims) -> list[tuple[str, str, tuple[int, ...]]]:
+    """Every learnable tensor as (block, key, shape), in block-cyclic order:
+    blocks f_0, f_1..f_T (the domain encoders from 1; f_T is the target's), f_a,
+    theta, u_0, u_1..u_T, u_a. A key is the model file's and the tensor's
+    attribute path: f_dom.0.filters is params.f_dom[0].filters."""
+    branches = [("0", "f_0", "u0", dims.m0)]
+    branches += [(f"{t + 1}", f"f_dom.{t}", f"u_dom.{t}", m) for t, m in enumerate(dims.mt)]
+    branches.append(("a", "f_a", "ua", dims.ma))
+    out = [(f"f_{s}", f"{enc}.{part}", shape) for s, enc, _, m in branches
+           for part, shape in (("filters", (m, dims.d, dims.w)), ("bias", (m,)))]
+    out.append(("theta", "theta", (dims.a_dim, dims.ma)))
+    return out + [(f"u_{s}", head, (m, dims.y_dim)) for s, _, head, m in branches]
 
 
 def _new_params(dims: Dims, tensor) -> ModelParams:
     """Parameters of the given dims, each tensor built as tensor(key, shape)
-    in the order of _shapes."""
-    tensors = {key: tensor(key, shape) for key, shape in _shapes(dims).items()}
+    in DRAW_ORDER."""
+    layout = sorted(_layout(dims), key=lambda entry: DRAW_ORDER.index(entry[1].split(".")[0]))
+    tensors = {key: tensor(key, shape) for _, key, shape in layout}
 
     def block(name):
         return ConvBlock(filters=tensors[f"{name}.filters"], bias=tensors[f"{name}.bias"])
@@ -193,8 +191,8 @@ def _new_params(dims: Dims, tensor) -> ModelParams:
 def init_params(dims: Dims, rng: Rng, scale: float = 0.1) -> ModelParams:
     """All parameters i.i.d. uniform in [-scale, scale]; deterministic per seed.
 
-    The draw order is fixed (see _new_params), so a seed pins the full
-    parameter set bit-exactly.
+    The draw order is fixed (DRAW_ORDER), so a seed pins the full parameter
+    set bit-exactly.
     """
     if scale <= 0:
         raise ValueError(f"init scale must be positive, got {scale}")

@@ -728,6 +728,37 @@ def test_rejection_is_one_line_and_writes_nothing(argv, code, named, tmp_path, c
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.json", "folder"]
 
 
+# an empty output path names no file: rejected before any work, naming its key
+@pytest.mark.parametrize("command, key", [("synth", "out"), ("train", "model_out"),
+                                          ("train", "curve_out"), ("train", "report_out"),
+                                          ("eval", "report_out")])
+def test_empty_output_path_is_one_line_and_writes_nothing(command, key, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    synth(tmp_path)
+    if command == "eval":
+        assert main(train_args("data.json", "m.json", "c.csv")) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = {
+        "synth": ["synth", *SMALL_SYNTH],
+        "train": ["train", "--set", "data=data.json", "--set", "model_out=m.json",
+                  "--set", "curve_out=c.csv", "--set", "knn_k=1", "--set", "max_iters=5"],
+        "eval": ["eval", "--set", "model=m.json", "--set", "data=data.json"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--set", f"{key}="]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: cannot write {key}: its path is empty\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_importing_the_package_loads_no_submodule():
+    # the package re-exports nothing: each name is imported from its module
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import sys, convtransfer; print([m for m in sys.modules if m.startswith('convtransfer.')])"
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
+
+
 def test_unwritable_output_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch):
     # os.access grants root every path, so the denial is simulated
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import re
 import runpy
 import shutil
@@ -320,3 +322,21 @@ def test_encoder_demo_runs(capsys, tmp_path, demo):
         assert [block for block, _ in lines] == [
             "f_0", "f_1", "f_2", "f_3", "f_a", "theta", "u_0", "u_1", "u_2", "u_3", "u_a"]
         assert all(float(err) < 1e-4 for _, err in lines)
+
+
+DEMOS = Path(__file__).parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_imports_resolve(demo):
+    # every name a demo imports from the package exists in the module it names;
+    # the demos are parsed, not run, so this covers the ones the test above skips
+    tree = ast.parse((DEMOS / demo).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "convtransfer"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            if not hasattr(module, alias.name):  # else it must be a submodule
+                importlib.import_module(f"{node.module}.{alias.name}")

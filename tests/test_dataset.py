@@ -281,7 +281,7 @@ class TestSerialization:
         ds = generate_synthetic(SynthSpec(domains=2, points_per_domain=4), seed=1)
         path = str(tmp_path / "bad.json")
         save_dataset(ds, path)
-        doc = json.loads(open(path).read())
+        doc = json.loads((tmp_path / "bad.json").read_text())
         doc["domains"][1]["points"][2]["a"] = [0, 2, 1] + [0] * (ds.a_dim - 3)
         with open(path, "w") as f:
             json.dump(doc, f)
