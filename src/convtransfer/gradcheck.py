@@ -81,12 +81,12 @@ def finite_diff_block(params, batch: Batch, base: Forward, cfg, block: str,
     """Central finite differences of the weighted total w.r.t. one tensor of
     `block`, on a packed dataset (objective.pack) whose Forward at params is
     `base`. The 2 * arr.size perturbed copies of the tensor (each entry moved
-    by +eps, then each by -eps) run as one stacked pass (stacked_totals)."""
+    by +eps, then each by -eps) run as one stacked pass (stacked_totals), in
+    which an encoder tensor's copy runs only the one filter it moves."""
     n = arr.size
     values = np.repeat(arr[None], 2 * n, axis=0)
     moved = values.reshape(2, n, n)  # [sign, copy, entry]
-    moved[0, range(n), range(n)] += eps
-    moved[1, range(n), range(n)] -= eps
+    moved[:, range(n), range(n)] += [[eps], [-eps]]
     totals = stacked_totals(params, batch, base, cfg, block, arr, values)
     return ((totals[:n] - totals[n:]) / (2.0 * eps)).reshape(arr.shape)
 

@@ -19,8 +19,8 @@ Every entry point packs its points once (pack, Batch); forward runs the
 batched encoders, and value_and_grad serves the objective, the sub-gradient
 and, in train, the trajectory row and its test accuracy from that one
 forward pass. After a change to one parameter block, forward re-runs only
-the encoder that block drives, so block-cyclic steps and finite
-differences reuse the other encoders' outputs.
+the encoder that block drives, and stacked_totals, for finite differences,
+only the filters each perturbed copy moves; the rest is reused.
 Sub-gradients are exact (ReLU sub-gradient 0 at 0, pooling ties to the
 lowest index) and accumulated in (domain, point) order so runs reproduce
 bit-for-bit.
@@ -246,13 +246,13 @@ def _residuals(b: Batch, outs, scores, theta, err=True, attr=True, means=True, n
 
 
 def _sum_squares(x, ndim: int):
-    """Sum of the squared entries of an ndim-D array x (for a vector, its dot
-    product with itself), or of each ndim-D copy along a leading axis of x,
-    copy by copy, so that each sum is the one-copy call itself, whatever
-    order a call over the whole stack would add in."""
-    if x.ndim > ndim:
-        return np.array([_sum_squares(c, ndim) for c in x])
-    return x @ x if ndim == 1 else np.einsum("ij,ij->", x, x)
+    """Sum of the squared entries of an ndim-D array x, or of each ndim-D copy
+    along leading axes of x, in one call, each copy's sum bit for bit its own:
+    einsum's order depends only on a copy's strides, and a (1, n) @ (n, 1)
+    matmul makes per copy the BLAS dot call that a vector's x @ x makes."""
+    if ndim == 1:
+        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    return np.einsum("...ij,...ij->...", x, x)
 
 
 def _breakdown(b: Batch, cfg: TrainConfig, err, g_attr, means, diff) -> ObjectiveBreakdown:
@@ -340,20 +340,24 @@ def stacked_totals(params: ModelParams, b: Batch, base: Forward, cfg: TrainConfi
     `block` replaced by each of the K arrays in `values`, from base, its
     Forward at params: a (K,) array, bit for bit the totals of K fresh
     forwards. The K copies run at once along a leading axis: an encoder
-    tensor's in one conv_forward_batch call over a bank of K * m filters (each
-    filter's pre-activations are computed as in a bank of its own), a head's
-    or theta's through stacked products, with no encoder run."""
+    tensor's in one conv_forward_batch call over a bank of the (copy, filter)
+    pairs whose bytes differ from arr's (none if none do), every other filter
+    output copied from base; a head's or theta's through stacked products."""
     K = len(values)
     branches = _branches(params, b)
     outs = [tr.output for tr in base.traces]
     for k, (s, enc, _, rows) in enumerate(branches):
         if block == "f_" + s:
-            filters, bias = (values if t is arr else np.broadcast_to(t, (K, *t.shape))
-                             for t in (enc.filters, enc.bias))
-            bank = ConvBlock(filters.reshape(-1, enc.d, enc.w), bias.reshape(-1))
-            out = conv_forward_batch(bank, b.x[:, :, rows], b.lengths[rows]).output
-            # (n, K * m) viewed as (K, n, m): each copy keeps one encoder's (n, m) strides
-            outs[k] = out.reshape(len(out), K, enc.m).transpose(1, 0, 2)
+            # compared as bytes: != would take -0.0 for 0.0
+            moved = np.nonzero((values.view(np.uint64) != arr.view(np.uint64))
+                               .reshape(K, enc.m, -1).any(axis=2))
+            # (K, m, n) viewed as (K, n, m): each copy keeps one encoder's (n, m) strides
+            stack = np.repeat(outs[k].T[None], K, axis=0)
+            if len(moved[0]):
+                bank = ConvBlock(*(values[moved] if t is arr else t[moved[1]]
+                                   for t in (enc.filters, enc.bias)))
+                stack[moved] = conv_forward_batch(bank, b.x[:, :, rows], b.lengths[rows]).output.T
+            outs[k] = stack.transpose(0, 2, 1)
         elif block == "u_" + s:
             branches[k] = (s, enc, values, rows)
     scores = base.scores if block == "theta" else _scores(branches, outs, (K,))

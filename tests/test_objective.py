@@ -538,6 +538,60 @@ class TestReuse:
                 assert _same_bits(got, want), (n_domains, zeroed, with_graph, key)
 
 
+class TestStackedTotals:
+    def test_copies_equal_to_the_base_run_no_encoder(self, kernel_calls):
+        # as when eps is below the entries' spacing: every total is the base
+        # total bit for bit, and no encoder runs (a bank cannot be empty)
+        params, b, cfg = _smooth_batch()
+        base = forward(params, b)
+        kernel_calls.banks.clear()
+        want = np.full(3, value_and_grad(params, b, base, cfg, ())[0].total)
+        for block, arrs in params.blocks().items():
+            for arr in arrs:
+                values = np.repeat(arr[None], 3, axis=0)
+                got = objective_module.stacked_totals(params, b, base, cfg, block, arr, values)
+                assert _same_bits(got, want), block
+        assert kernel_calls.banks == []
+
+    def test_a_zero_that_changes_sign_has_moved(self, kernel_calls):
+        # -0.0 == 0.0, but the copy's bytes differ from the base tensor's
+        params, b, cfg = _smooth_batch()
+        filters = params.f_0.filters
+        filters[1, 0, 0] = 0.0
+        base = forward(params, b)
+        values = np.repeat(filters[None], 2, axis=0)
+        values[1, 1, 0, 0] = -0.0
+        kernel_calls.banks.clear()
+        got = objective_module.stacked_totals(params, b, base, cfg, "f_0", filters, values)
+        assert kernel_calls.banks == [1]  # copy 1's filter 1 alone
+        filters[1, 0, 0] = -0.0
+        assert got[1] == value_and_grad(params, b, forward(params, b), cfg, ())[0].total
+
+    @pytest.mark.parametrize("layout", ["C", "F", "F whole", "bank view"])
+    def test_stacked_sum_squares_equal_the_one_copy_sums(self, layout):
+        # one call over a (K, ...) stack equals the one-copy definitions bit
+        # for bit: einsum per matrix, x @ x per vector (a BLAS dot); the
+        # vectors include rows at every 8-byte offset, which some BLAS dot
+        # kernels sum in another order
+        rng = Rng(7)
+        for _ in range(60):
+            K, n, m = (int(rng.integers(1, hi)) for hi in (9, 30, 7))
+            x = rng.normal((K, n, m)) * 10.0 ** int(rng.integers(-3, 4))
+            x = {"C": x,
+                 "F": np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1),
+                 "F whole": np.asfortranarray(x),
+                 # stacked_totals' bank output: (n, K * m) viewed as (K, n, m)
+                 "bank view": np.ascontiguousarray(x.transpose(1, 0, 2).reshape(n, K * m).T).T
+                 .reshape(n, K, m).transpose(1, 0, 2)}[layout]
+            assert _same_bits(objective_module._sum_squares(x, 2),
+                              np.array([np.einsum("ij,ij->", c, c) for c in x]))
+            for v in (x[:, 0, :], x.sum(axis=-2), x[:, :, 0]):
+                assert _same_bits(objective_module._sum_squares(v, 1), np.array([c @ c for c in v]))
+            c = x[0]
+            assert _same_bits(objective_module._sum_squares(c, 2), np.einsum("ij,ij->", c, c))
+            assert _same_bits(objective_module._sum_squares(c[0], 1), c[0] @ c[0])
+
+
 def test_no_graph_and_an_edgeless_graph_are_the_same_run():
     # a batch packed without a graph carries an empty edge list, as one packed
     # with a 0-NN graph does: the breakdown, the gradient and 3 iterations of
@@ -563,15 +617,24 @@ def test_no_graph_and_an_edgeless_graph_are_the_same_run():
     assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
+class KernelCalls(dict):
+    """Counts of the batched encoder kernels called through objective; `banks`
+    lists how many filters each forward call ran, in call order."""
+
+    banks: list[int]
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of the batched encoder kernels called through objective."""
-    calls = {"forward": 0, "backward": 0}
+    calls = KernelCalls(forward=0, backward=0)
+    calls.banks = []
 
     def counted(kind, fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(block, *args, **kwargs):
             calls[kind] += 1
-            return fn(*args, **kwargs)
+            if kind == "forward":
+                calls.banks.append(block.m)
+            return fn(block, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(objective_module, "conv_forward_batch",
@@ -594,6 +657,16 @@ class TestKernelCalls:
         # tensor (all its perturbed copies stacked) and none for a head entry
         assert kernel_calls["forward"] == (T + 2) + encoder_tensors == 15
         assert kernel_calls["backward"] == T + 2
+
+    def test_gradient_check_runs_only_the_filters_each_copy_moves(self, kernel_calls):
+        params, ds, graph, cfg = random_smooth_instance(0)  # m = 4, d = 6, w = 2
+        kernel_calls.banks.clear()
+        gradient_check(params, ds, graph, cfg)
+        # the base forward's m filters per encoder, then per encoder tensor one
+        # filter per copy (2 * size copies): 2 * 48 for filters, 2 * 4 for a bias,
+        # not a bank of every copy's m filters
+        T = params.n_domains
+        assert kernel_calls.banks == [4] * (T + 2) + [96, 8] * (T + 2)
 
     @pytest.mark.parametrize("mode", ["joint", "block-cyclic"])
     def test_training_runs_each_encoder_once_per_iteration(self, kernel_calls, mode):
