@@ -21,6 +21,7 @@ import sys
 from . import gradcheck as gcmod
 from .dataset import ROLE_TEST, DataError, SynthSpec, build_neighbor_graph, generate_synthetic, load_dataset, save_dataset, split_target
 from .model import load_params, save_params
+from .numeric import SEED_BOUND
 from .objective import DivergenceError, TrainConfig, _check_compat, evaluate, train, write_trajectory_csv
 
 EXIT_OK = 0
@@ -32,9 +33,6 @@ EXIT_GRADCHECK = 5
 
 class ConfigError(Exception):
     pass
-
-
-SEED_BOUND = 2**64  # seeds are 64-bit unsigned integers
 
 
 def _positive_int(v):
@@ -58,30 +56,11 @@ def _positive_float(v):
     return x
 
 
-# key -> (parser, default); default REQUIRED means the merged config must set it
-REQUIRED = object()
-
-# One key per field of TrainConfig and of SynthSpec, parsed by the type of
-# its default and validated by the class itself. The CLI's one override:
-# 200 iterations by default where the library runs 100.
+# One key per field of TrainConfig and of SynthSpec, with its default, parsed
+# by the type of that default and validated by the class itself.
 TRAIN_KEYS = {f.name: (type(f.default), f.default) for f in dataclasses.fields(TrainConfig)
               if f.name != "seed"}
-TRAIN_KEYS["max_iters"] = (int, 200)
 SYNTH_KEYS = {f.name: (type(f.default), f.default) for f in dataclasses.fields(SynthSpec)}
-
-SEED = (_seed, 0)
-
-SCHEMAS = {
-    "synth": {"seed": SEED, **SYNTH_KEYS, "out": (str, REQUIRED)},
-    # workers is accepted and ignored: training runs in one thread
-    "train": {"seed": SEED, "workers": (_positive_int, 1), **TRAIN_KEYS,
-              "data": (str, REQUIRED), "model_out": (str, REQUIRED),
-              "curve_out": (str, REQUIRED), "report_out": (str, None)},
-    "eval": {"seed": SEED, "model": (str, REQUIRED), "data": (str, REQUIRED),
-             "report_out": (str, None)},
-    "gradcheck": {"seed": SEED, "instances": (_positive_int, 3),
-                  "eps": (_positive_float, gcmod.DEFAULT_EPS)},
-}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -96,13 +75,13 @@ def parse_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 raw[key.strip()] = value.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return raw
 
 
 def build_config(command: str, args: argparse.Namespace) -> dict:
-    schema = SCHEMAS[command]
+    _, _, flags, schema = COMMANDS[command]
     merged: dict[str, str] = {}
     if args.config:
         merged.update(parse_config_file(args.config))
@@ -112,7 +91,7 @@ def build_config(command: str, args: argparse.Namespace) -> dict:
         key, _, value = item.partition("=")
         merged[key.strip()] = value.strip()
     # dedicated flags override file and --set values
-    for key in COMMANDS[command][2].values():
+    for key in flags.values():
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
 
@@ -260,17 +239,30 @@ def cmd_gradcheck(cfg: dict) -> int:
     return EXIT_OK
 
 
-# command -> (function, help, {flag: the key it sets})
+REQUIRED = object()
+SEED = (_seed, 0)
+
+# command -> (function, help, {flag: the key it sets}, {key: (parser, default)});
+# default REQUIRED means the merged config must set the key
 COMMANDS = {
     "synth": (cmd_synth, "generate a synthetic multi-domain dataset file",
-              {"--seed": "seed", "--out": "out"}),
+              {"--seed": "seed", "--out": "out"},
+              {"seed": SEED, **SYNTH_KEYS, "out": (str, REQUIRED)}),
+    # workers is accepted and ignored: training runs in one thread
     "train": (cmd_train, "split, build the neighbor graph, and run the descent loop",
               {"--seed": "seed", "--data": "data", "--model": "model_out",
-               "--out": "report_out", "--workers": "workers"}),
+               "--out": "report_out", "--workers": "workers"},
+              {"seed": SEED, "workers": (_positive_int, 1), **TRAIN_KEYS,
+               "data": (str, REQUIRED), "model_out": (str, REQUIRED),
+               "curve_out": (str, REQUIRED), "report_out": (str, None)}),
     "eval": (cmd_eval, "evaluate a saved model on a dataset",
-             {"--seed": "seed", "--model": "model", "--data": "data", "--out": "report_out"}),
+             {"--seed": "seed", "--model": "model", "--data": "data", "--out": "report_out"},
+             {"seed": SEED, "model": (str, REQUIRED), "data": (str, REQUIRED),
+              "report_out": (str, None)}),
     "gradcheck": (cmd_gradcheck, "finite-difference validation of the analytic gradient",
-                  {"--seed": "seed"}),
+                  {"--seed": "seed"},
+                  {"seed": SEED, "instances": (_positive_int, 3),
+                   "eps": (_positive_float, gcmod.DEFAULT_EPS)}),
 }
 
 
@@ -280,7 +272,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Cross-domain transfer learning with convolutional attribute embeddings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
+    for name, (_, help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value configuration file")
         for flag, key in flags.items():

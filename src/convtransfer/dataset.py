@@ -329,7 +329,7 @@ def load_dataset(path: str) -> MultiDomainDataset:
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # also not UTF-8, too deep, too many digits
             raise DataError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DataError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")

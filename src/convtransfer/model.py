@@ -236,5 +236,5 @@ def load_params(path: str) -> ModelParams:
         return _new_params(Dims(**{f.name: dd[f.name] for f in fields(Dims)}), tensor)
     except KeyError as e:
         raise DataError(f"{path}: missing model entry {e}") from e
-    except (AttributeError, OverflowError, TypeError, ValueError) as e:
+    except (AttributeError, OverflowError, RecursionError, TypeError, ValueError) as e:
         raise DataError(f"{path}: {e}") from e

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+SEED_BOUND = 2**64  # seeds are 64-bit unsigned integers
 
 # the most 8-byte draws one array can hold: past it, numpy raises ValueError
 # ("array is too big", "Maximum allowed dimension exceeded"), not MemoryError
@@ -42,7 +43,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not (0 <= int(seed) < 2**64):
+        if not (0 <= int(seed) < SEED_BOUND):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))

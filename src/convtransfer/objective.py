@@ -50,7 +50,7 @@ class TrainConfig:
     c2: float = 1.0
     c3: float = 1.0
     tau: float = 1e-3
-    max_iters: int = 100
+    max_iters: int = 200
     update_mode: str = "joint"  # or "block-cyclic"
     knn_k: int = 5
     m0: int = 4

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from convtransfer.dataset import (
     ROLE_LABELED,
     ROLE_TEST,
     ROLE_UNLABELED,
+    SynthSpec,
     build_neighbor_graph,
     load_dataset,
     save_dataset,
@@ -31,6 +33,7 @@ from convtransfer.dataset import (
 )
 from convtransfer.model import Dims, init_params, save_params
 from convtransfer.numeric import Rng
+from convtransfer.objective import TrainConfig
 
 SMALL_SYNTH = ["--set", "domains=2", "--set", "points_per_domain=8",
                "--set", "feature_dim=4", "--set", "attr_dim=5",
@@ -728,6 +731,31 @@ def test_rejection_is_one_line_and_writes_nothing(argv, code, named, tmp_path, c
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.json", "folder"]
 
 
+# input files that cannot be decoded: not UTF-8, or nested past the JSON
+# decoder's recursion limit; the file is `bad`, next to data.json and model.json
+NOT_UTF8, TOO_DEEP = b"\xff", b"[" * 100_000
+
+
+@pytest.mark.parametrize("argv, content, code", [
+    (train_args("data.json", "m.json", "c.csv", ["--config", "bad"]), NOT_UTF8, EXIT_CONFIG),
+    (train_args("bad", "m.json", "c.csv"), NOT_UTF8, EXIT_DATA),
+    (train_args("bad", "m.json", "c.csv"), TOO_DEEP, EXIT_DATA),
+    (["eval", "--model", "model.json", "--data", "bad"], TOO_DEEP, EXIT_DATA),
+    (["eval", "--model", "bad", "--data", "data.json"], TOO_DEEP, EXIT_DATA),
+], ids=["config-not-utf8", "train-data-not-utf8", "train-data-too-deep", "eval-data-too-deep",
+        "eval-model-too-deep"])
+def test_undecodable_input_file_is_one_line(argv, content, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    synth(tmp_path)
+    assert main(train_args("data.json", "model.json", "c.csv")) == EXIT_OK
+    (tmp_path / "bad").write_bytes(content)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad" in err, err
+    assert not (tmp_path / "m.json").exists()
+
+
 # an empty output path names no file: rejected before any work, naming its key
 @pytest.mark.parametrize("command, key", [("synth", "out"), ("train", "model_out"),
                                           ("train", "curve_out"), ("train", "report_out"),
@@ -769,6 +797,20 @@ def test_unwritable_output_is_one_line_and_writes_nothing(tmp_path, capsys, monk
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, cls, argv", [
+    ("train", TrainConfig, ["--data", "d", "--model", "m", "--set", "curve_out=c"]),
+    ("synth", SynthSpec, ["--out", "o"]),
+])
+def test_library_keys_have_their_field_type_and_default(command, cls, argv):
+    keys = {"train": cli.TRAIN_KEYS, "synth": cli.SYNTH_KEYS}[command]
+    cfg = cli.build_config(command, cli.make_parser().parse_args([command, *argv]))
+    fields = [f for f in dataclasses.fields(cls) if f.name != "seed"]
+    assert sorted(keys) == sorted(f.name for f in fields)
+    for f in fields:
+        assert keys[f.name] == (type(f.default), f.default), f.name
+        assert cfg[f.name] == f.default, f.name
+
+
 SWEEP_VALUES = ["0", "-1", "1", "1e-300", "1e300", "nan", "inf", "-0", "0.5", "", "x", "3.0",
                 "1_0"]
 # a small set and model keep the sweep's runs cheap: 2 domains of 8 points
@@ -791,7 +833,8 @@ def sweep_inputs(tmp_path_factory):
 
 # every key of every command, each set to every one of SWEEP_VALUES on top of
 # a small run that succeeds; paths given through --set, which a later --set overrides
-@pytest.mark.parametrize("command, key", [(c, k) for c in cli.SCHEMAS for k in cli.SCHEMAS[c]])
+@pytest.mark.parametrize("command, key",
+                         [(c, k) for c, (*_, keys) in cli.COMMANDS.items() for k in keys])
 def test_any_set_value_exits_with_a_documented_code(command, key, sweep_inputs, tmp_path,
                                                     capsys, monkeypatch):
     data, model = sweep_inputs

@@ -300,9 +300,14 @@ class TestSerialization:
         assert ds.target[0].role == ROLE_TEST
         assert ds.target[1].y is None
 
-    # (case, change to small_doc(), or the file's whole text; expected message)
+    # (case, change to small_doc(), or the file's whole text or bytes; expected message)
     REJECTIONS = [
         ("invalid JSON", "{", "not valid JSON"),
+        ("not UTF-8", b"\xff{}", "not valid JSON"),
+        # past the JSON decoder's recursion limit
+        ("nested too deeply", "[" * 100_000, "not valid JSON"),
+        # past Python's limit on the digits of an int read from text
+        ("integer with 5000 digits", '{"d": ' + "9" * 5000 + "}", "not valid JSON"),
         ("wrong version", lambda doc: doc.update(version=2), "unsupported dataset version 2"),
         ("missing field", lambda doc: doc.pop("Y"), "missing field 'Y'"),
         ("domains not objects", lambda doc: doc.update(domains=[1]), "list of objects"),
@@ -345,7 +350,9 @@ class TestSerialization:
                              ids=[c[0] for c in REJECTIONS])
     def test_rejection_names_the_file_and_location(self, tmp_path, change, message):
         path = tmp_path / "bad.json"
-        if isinstance(change, str):
+        if isinstance(change, bytes):
+            path.write_bytes(change)
+        elif isinstance(change, str):
             path.write_text(change)
         else:
             doc = small_doc()

@@ -164,6 +164,11 @@ def test_load_rejects_malformed_model_files(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             load_params(str(path))
+    # files json cannot decode: not UTF-8, and nested past its recursion limit
+    for raw in (b"\xff{}", b"[" * 100_000):
+        path.write_bytes(raw)
+        with pytest.raises(DataError):
+            load_params(str(path))
 
 
 def test_params_shape_validation():
