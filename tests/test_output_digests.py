@@ -40,6 +40,13 @@ COMMANDS = {
     # every default, which diverges on this seed: exit 4 and no output files
     "train-seed3-defaults": (["train", "--data", "data3.json", "--seed", "3", "--model", "m3.json",
                               "--set", "curve_out=c3.csv"], []),
+    # one rejection for each of exits 2, 3 and 5, each on one stderr line
+    "train-negative-tau": (TRAIN + ["--model", "r2.json", "--set", "curve_out=r2.csv",
+                                    "--set", "tau=-1"], []),
+    "eval-missing-model": (["eval", "--model", "missing.json", "--data", "data.json",
+                            "--seed", "0"], []),
+    "gradcheck-tiny-eps": (["gradcheck", "--seed", "0", "--set", "instances=1",
+                            "--set", "eps=1e-300"], []),
 }
 
 DIGESTS = {
@@ -51,6 +58,9 @@ DIGESTS = {
     "gradcheck": "1e1bab8fde60a74b6b52184a62083e93887a2eb011024abbb603b8633acce7b5",
     "synth-seed3": "47aa5afb987265979847f821df174c3b7d436f2a4235b6994d4106f376de6efd",
     "train-seed3-defaults": "1be554a69bb27e6798bfe35457a675f0bcc6eecd85b232052d23e603257ce4a1",
+    "train-negative-tau": "3225d0784cb3eef18d34fe391ba2d9fa7b6e2c141a0fd1fa5e62fbc4d5b1327f",
+    "eval-missing-model": "1c9b188bfb487a9ecac9c16e0c431e7a5988dc085772fe9a1d8a8bfcee59dbfa",
+    "gradcheck-tiny-eps": "f6ff32b98ba0a99de18bb729bc8f68134e6d5af3d4df2a16400f5d784f94e0b7",
 }
 
 
@@ -68,4 +78,4 @@ def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
             h.update(b"\0" + (tmp_path / f).read_bytes())
         got[name] = h.hexdigest()
     assert got == DIGESTS
-    assert not (tmp_path / "m3.json").exists()
+    assert not any((tmp_path / f).exists() for f in ("m3.json", "r2.json", "r2.csv"))
