@@ -11,7 +11,8 @@ heads; there is no bias term in the heads.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,39 +50,37 @@ class Dims:
         return len(self.mt)
 
 
-@dataclass
 class ModelParams:
-    """Full learnable parameter set.
+    """Full learnable parameter set: its Dims and one flat float64 array that
+    holds every tensor of _layout(dims) in turn, so each block is one
+    consecutive slice, in block-cyclic order.
 
-    f_a / f_0: attribute and domain-independent encoders; f_dom[t] the
-    domain-t encoder. theta maps binary attribute vectors into the attribute
-    embedding space (shape A x ma, applied as theta.T @ a). u0/ua/u_dom[t]
-    are the linear heads, each with y_dim columns.
+    Each tensor is a view of flat, made once. f_a / f_0: attribute and
+    domain-independent encoders; f_dom[t] the domain-t encoder. theta maps
+    binary attribute vectors into the attribute embedding space (shape A x ma,
+    applied as theta.T @ a). u0/ua/u_dom[t] are the linear heads, each with
+    y_dim columns.
     """
 
-    dims: Dims
-    f_a: ConvBlock
-    f_0: ConvBlock
-    f_dom: list[ConvBlock]
-    theta: np.ndarray
-    u0: np.ndarray
-    ua: np.ndarray
-    u_dom: list[np.ndarray] = field(default_factory=list)
+    def __init__(self, dims: Dims, flat: np.ndarray):
+        layout = _layout(dims)
+        sizes = [math.prod(shape) for _, _, shape in layout]
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"flat has shape {flat.shape}, expected ({sum(sizes)},)")
+        self.dims, self.flat = dims, flat
+        self._named = [(block, key, part.reshape(shape)) for (block, key, shape), part
+                       in zip(layout, np.split(flat, np.cumsum(sizes)[:-1]))]
+        t = {key: arr for _, key, arr in self._named}
 
-    def __post_init__(self):
-        d = self.dims
-        if len(self.f_dom) != d.n_domains or len(self.u_dom) != d.n_domains:
-            raise ValueError(
-                f"expected {d.n_domains} domain blocks/heads, got "
-                f"{len(self.f_dom)} blocks and {len(self.u_dom)} heads"
-            )
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        self.u0 = np.asarray(self.u0, dtype=np.float64)
-        self.ua = np.asarray(self.ua, dtype=np.float64)
-        self.u_dom = [np.asarray(u, dtype=np.float64) for u in self.u_dom]
-        for (_, key, arr), (_, _, shape) in zip(self.named_tensors(), _layout(d)):
-            if arr.shape != shape:
-                raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
+        def encoder(name):
+            return ConvBlock(filters=t[f"{name}.filters"], bias=t[f"{name}.bias"])
+
+        domains = range(dims.n_domains)
+        self.f_a, self.f_0 = encoder("f_a"), encoder("f_0")
+        self.f_dom = [encoder(f"f_dom.{i}") for i in domains]
+        self.theta, self.u0, self.ua = t["theta"], t["u0"], t["ua"]
+        self.u_dom = [t[f"u_dom.{i}"] for i in domains]
 
     @property
     def n_domains(self) -> int:
@@ -89,19 +88,13 @@ class ModelParams:
 
     def named_tensors(self) -> list[tuple[str, str, np.ndarray]]:
         """Every learnable tensor as (block, key, array), in _layout's
-        block-cyclic order. The arrays are the parameters themselves, not copies."""
-        out = []
-        for block, key, _ in _layout(self.dims):
-            arr = self
-            for part in key.split("."):
-                arr = arr[int(part)] if part.isdigit() else getattr(arr, part)
-            out.append((block, key, arr))
-        return out
+        block-cyclic order. The arrays are the views of flat, not copies."""
+        return self._named
 
     def blocks(self) -> dict[str, tuple[np.ndarray, ...]]:
-        """named_tensors() grouped by block: name -> its arrays (the parameters, not copies)."""
+        """named_tensors() grouped by block: name -> its arrays (views of flat, not copies)."""
         out: dict[str, tuple[np.ndarray, ...]] = {}
-        for block, _, arr in self.named_tensors():
+        for block, _, arr in self._named:
             out[block] = out.get(block, ()) + (arr,)
         return out
 
@@ -174,18 +167,14 @@ def _layout(dims: Dims) -> list[tuple[str, str, tuple[int, ...]]]:
 
 def _new_params(dims: Dims, tensor) -> ModelParams:
     """Parameters of the given dims, each tensor built as tensor(key, shape)
-    in DRAW_ORDER."""
-    layout = sorted(_layout(dims), key=lambda entry: DRAW_ORDER.index(entry[1].split(".")[0]))
-    tensors = {key: tensor(key, shape) for _, key, shape in layout}
-
-    def block(name):
-        return ConvBlock(filters=tensors[f"{name}.filters"], bias=tensors[f"{name}.bias"])
-
-    domains = range(dims.n_domains)
-    return ModelParams(dims=dims, f_a=block("f_a"), f_0=block("f_0"),
-                       f_dom=[block(f"f_dom.{t}") for t in domains],
-                       theta=tensors["theta"], u0=tensors["u0"], ua=tensors["ua"],
-                       u_dom=[tensors[f"u_dom.{t}"] for t in domains])
+    in DRAW_ORDER and checked against that shape before flat is allocated."""
+    layout = _layout(dims)
+    tensors = {}
+    for _, key, shape in sorted(layout, key=lambda entry: DRAW_ORDER.index(entry[1].split(".")[0])):
+        tensors[key] = tensor(key, shape)
+        if tensors[key].shape != shape:
+            raise ValueError(f"{key} has shape {tensors[key].shape}, expected {shape}")
+    return ModelParams(dims, np.concatenate([tensors[key].ravel() for _, key, _ in layout]))
 
 
 def init_params(dims: Dims, rng: Rng, scale: float = 0.1) -> ModelParams:
@@ -221,8 +210,6 @@ def load_params(path: str) -> ModelParams:
     def tensor(key, shape):
         entry = doc["params"][key]
         value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if value.shape != shape:
-            raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
         if not np.isfinite(value).all():
             raise ValueError(f"{key} holds non-finite entries")
         return value

@@ -1,5 +1,6 @@
-import dataclasses
+import itertools
 import json
+import math
 import os
 import re
 import tempfile
@@ -171,21 +172,6 @@ def test_load_rejects_malformed_model_files(tmp_path):
             load_params(str(path))
 
 
-def test_params_shape_validation():
-    with pytest.raises(ValueError):
-        ModelParams(
-            dims=DIMS,
-            f_a=ConvBlock(np.zeros((2, 3, 2)), np.zeros(2)),
-            f_0=ConvBlock(np.zeros((3, 3, 2)), np.zeros(3)),
-            f_dom=[ConvBlock(np.zeros((2, 3, 2)), np.zeros(2)),
-                   ConvBlock(np.zeros((3, 3, 2)), np.zeros(3))],
-            theta=np.zeros((5, 2)),  # wrong attribute dimension
-            u0=np.zeros((3, 2)),
-            ua=np.zeros((2, 2)),
-            u_dom=[np.zeros((2, 2)), np.zeros((3, 2))],
-        )
-
-
 @st.composite
 def random_dims(draw):
     """Dims of 1 to 3 domains, every size from 1 to 4 and a window of 1 to 3."""
@@ -209,31 +195,52 @@ def test_random_dims_round_trip_bit_exact(dims, seed):
             == [(key, arr.shape, arr.tobytes()) for _, key, arr in params.named_tensors()])
 
 
-def put_tensor(params, key, arr):
-    """Put arr where the tensor of the given model-file key sits, past
-    ConvBlock's own checks."""
-    name, _, last = key.rpartition(".")
-    if last in ("filters", "bias"):
-        block = params.f_dom[int(name[6:])] if name.startswith("f_dom.") else getattr(params, name)
-        setattr(block, last, arr)
-    elif name == "u_dom":
-        params.u_dom[int(last)] = arr
-    else:
-        setattr(params, key, arr)
-
-
 @settings(max_examples=50, deadline=None)
 @given(random_dims())
-def test_params_reject_every_tensor_with_one_dimension_off(dims):
-    dataclasses.replace(zero_params(dims))  # the right shapes pass
-    for _, key, arr in zero_params(dims).named_tensors():
-        for axis in range(arr.ndim):
-            shape = list(arr.shape)
-            shape[axis] += 1
-            params = zero_params(dims)
-            put_tensor(params, key, np.zeros(shape))
-            with pytest.raises(ValueError, match=re.escape(key)):
-                dataclasses.replace(params)  # reruns ModelParams' checks
+def test_load_rejects_every_tensor_with_one_dimension_off(dims):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_params(zero_params(dims), path)
+        load_params(path)  # the right shapes pass
+        with open(path) as f:
+            doc = json.load(f)
+        for key, entry in list(doc["params"].items()):
+            for axis in range(len(entry["shape"])):
+                shape = list(entry["shape"])
+                shape[axis] += 1
+                doc["params"][key] = {"shape": shape, "data": [0.0] * math.prod(shape)}
+                with open(path, "w") as f:
+                    f.write(json.dumps(doc))
+                with pytest.raises(DataError, match=re.escape(f"{key} has shape")):
+                    load_params(path)
+            doc["params"][key] = entry
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_dims(), st.integers(0, 2**32))
+def test_tensors_are_views_of_one_flat_array(dims, seed):
+    params = init_params(dims, Rng(seed))
+    flat = params.flat
+    flat[...] = np.arange(flat.size)  # each entry now holds its own offset
+    start = 0
+    for _, _, arr in params.named_tensors():
+        assert np.shares_memory(arr, flat)
+        # each tensor is the slice of flat right after the one before it
+        assert np.array_equal(arr.ravel(), np.arange(start, start + arr.size))
+        start += arr.size
+    assert start == flat.size
+    tensors = {key: arr for _, key, arr in params.named_tensors()}
+    assert np.array_equal(params.theta, tensors["theta"])
+    assert np.array_equal(params.u_dom[-1], tensors[f"u_dom.{dims.n_domains - 1}"])
+    branches = ["0", *(str(t + 1) for t in range(dims.n_domains)), "a"]
+    runs = [block for block, _ in itertools.groupby(block for block, _, _ in params.named_tensors())]
+    assert runs == [f"f_{s}" for s in branches] + ["theta"] + [f"u_{s}" for s in branches]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_params(params, path)
+        with open(path) as f:
+            saved = json.load(f)["params"]
+    assert [x for _, key, _ in params.named_tensors() for x in saved[key]["data"]] == flat.tolist()
 
 
 BLOCK = ConvBlock(np.zeros((2, 3, 2)), np.zeros(2))
@@ -254,15 +261,14 @@ LABELED = [DataPoint(x=np.zeros((3, 4)), a=np.zeros(4), y=np.eye(2)[0])]
      "conv input contains non-finite entries"),
     (lambda: Dims(d=3, a_dim=4, y_dim=2, m0=3, ma=2, mt=(), w=2), ValueError,
      "per-domain output sizes must be positive"),
-    (lambda: dataclasses.replace(make_params(), f_dom=make_params().f_dom[:1]), ValueError,
-     "expected 2 domain blocks/heads, got 1 blocks and 2 heads"),
+    (lambda: ModelParams(DIMS, np.zeros(97)), ValueError, "flat has shape (97,), expected (98,)"),
     (lambda: init_params(DIMS, Rng(0), scale=0), ValueError, "init scale must be positive"),
     (lambda: evaluate(make_params(), LABELED, 2), ValueError, "domain index 2 out of range [0, 2)"),
     (lambda: MultiDomainDataset(d=3, a_dim=4, y_dim=2, domains=[]), DataError,
      "dataset must contain at least one domain"),
 ], ids=["2d-filters", "zero-filter-dimension", "wrong-bias-shape", "1d-conv-input",
         "conv-input-without-columns", "nan-conv-input", "no-domains-in-dims",
-        "one-domain-block-too-few", "zero-init-scale", "domain-index-out-of-range",
+        "flat-of-wrong-length", "zero-init-scale", "domain-index-out-of-range",
         "dataset-without-domains"])
 def test_library_rejection(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

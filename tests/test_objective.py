@@ -6,7 +6,6 @@ import pytest
 
 import convtransfer.objective as objective_module
 from convtransfer import gradcheck
-from convtransfer.convnet import ConvBlock
 from convtransfer.dataset import (
     ROLE_LABELED,
     ROLE_TEST,
@@ -24,7 +23,7 @@ from convtransfer.gradcheck import (
     random_smooth_instance,
     relative_error,
 )
-from convtransfer.model import Dims, ModelParams, classify, init_params, represent
+from convtransfer.model import Dims, classify, init_params, represent
 from convtransfer.numeric import Rng
 from convtransfer.objective import (
     TrainConfig,
@@ -60,16 +59,10 @@ def make_params(seed=0, scale=0.2):
 
 
 def zero_params():
-    return ModelParams(
-        dims=DIMS,
-        f_a=ConvBlock(np.zeros((2, 3, 2)), np.zeros(2)),
-        f_0=ConvBlock(np.zeros((2, 3, 2)), np.zeros(2)),
-        f_dom=[ConvBlock(np.zeros((2, 3, 2)), np.zeros(2)) for _ in range(2)],
-        theta=np.zeros((2, 2)),
-        u0=np.zeros((2, 2)),
-        ua=np.zeros((2, 2)),
-        u_dom=[np.zeros((2, 2)) for _ in range(2)],
-    )
+    params = init_params(DIMS, Rng(0))
+    for _, _, arr in params.named_tensors():
+        arr[...] = 0.0
+    return params
 
 
 def empty_graph(n):
