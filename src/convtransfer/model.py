@@ -10,6 +10,7 @@ heads; there is no bias term in the heads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -69,8 +70,9 @@ class ModelParams:
         if flat.shape != (sum(sizes),):
             raise ValueError(f"flat has shape {flat.shape}, expected ({sum(sizes)},)")
         self.dims, self.flat = dims, flat
-        self._named = [(block, key, part.reshape(shape)) for (block, key, shape), part
-                       in zip(layout, np.split(flat, np.cumsum(sizes)[:-1]))]
+        ends = itertools.accumulate(sizes)
+        self._named = [(block, key, flat[end - size:end].reshape(shape))
+                       for (block, key, shape), size, end in zip(layout, sizes, ends)]
         t = {key: arr for _, key, arr in self._named}
 
         def encoder(name):
@@ -170,7 +172,7 @@ def _new_params(dims: Dims, tensor) -> ModelParams:
     in DRAW_ORDER and checked against that shape before flat is allocated."""
     layout = _layout(dims)
     tensors = {}
-    for _, key, shape in sorted(layout, key=lambda entry: DRAW_ORDER.index(entry[1].split(".")[0])):
+    for _, key, shape in sorted(layout, key=lambda e: DRAW_ORDER.index(e[1].split(".")[0])):
         tensors[key] = tensor(key, shape)
         if tensors[key].shape != shape:
             raise ValueError(f"{key} has shape {tensors[key].shape}, expected {shape}")
