@@ -111,9 +111,8 @@ def gradient_check(params, ds, graph, cfg, eps: float = DEFAULT_EPS) -> dict[str
     batch = pack(params, ds, graph)
     base = forward(params, batch)
     blocks = params.blocks()
-    gs = value_and_grad(params, batch, base, cfg, blocks, value=False)[1]
-    errs: dict[str, float] = {}
-    for block, arrs in blocks.items():
-        fds = [finite_diff_block(params, batch, base, cfg, block, arr, eps) for arr in arrs]
-        errs[block] = max(float(np.max(relative_error(g, fd))) for g, fd in zip(gs[block], fds))
-    return errs
+    g = value_and_grad(params, batch, base, cfg, blocks, value=False)[1]
+    # laid out as params.flat, as g is
+    fd = np.concatenate([finite_diff_block(params, batch, base, cfg, block, arr, eps).ravel()
+                         for block, _, arr in params.named_tensors()])
+    return {block: float(relative_error(g[sl], fd[sl]).max()) for block, sl in blocks.items()}

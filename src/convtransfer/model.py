@@ -38,8 +38,8 @@ class Dims:
     w: int
 
     def __post_init__(self):
-        if len(self.mt) < 1:
-            raise ValueError(f"per-domain output sizes must be positive, got {self.mt}")
+        if not isinstance(self.mt, (tuple, list)) or len(self.mt) < 1:
+            raise ValueError(f"per-domain output sizes must be positive, in a list: got mt={self.mt!r}")
         for f in fields(self):
             for v in self.mt if f.name == "mt" else (getattr(self, f.name),):
                 if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
@@ -70,19 +70,19 @@ class ModelParams:
         if flat.shape != (sum(sizes),):
             raise ValueError(f"flat has shape {flat.shape}, expected ({sum(sizes)},)")
         self.dims, self.flat = dims, flat
-        ends = itertools.accumulate(sizes)
-        self._named = [(block, key, flat[end - size:end].reshape(shape))
-                       for (block, key, shape), size, end in zip(layout, sizes, ends)]
+        self._named, self._blocks = [], {}
+        for (block, key, shape), size, end in zip(layout, sizes, itertools.accumulate(sizes)):
+            self._named.append((block, key, flat[end - size:end].reshape(shape)))
+            self._blocks[block] = slice(self._blocks.get(block, slice(end - size, end)).start, end)
         t = {key: arr for _, key, arr in self._named}
 
         def encoder(name):
             return ConvBlock(filters=t[f"{name}.filters"], bias=t[f"{name}.bias"])
 
-        domains = range(dims.n_domains)
         self.f_a, self.f_0 = encoder("f_a"), encoder("f_0")
-        self.f_dom = [encoder(f"f_dom.{i}") for i in domains]
+        self.f_dom = [encoder(f"f_dom.{i}") for i in range(dims.n_domains)]
         self.theta, self.u0, self.ua = t["theta"], t["u0"], t["ua"]
-        self.u_dom = [t[f"u_dom.{i}"] for i in domains]
+        self.u_dom = [t[f"u_dom.{i}"] for i in range(dims.n_domains)]
 
     @property
     def n_domains(self) -> int:
@@ -93,12 +93,10 @@ class ModelParams:
         block-cyclic order. The arrays are the views of flat, not copies."""
         return self._named
 
-    def blocks(self) -> dict[str, tuple[np.ndarray, ...]]:
-        """named_tensors() grouped by block: name -> its arrays (views of flat, not copies)."""
-        out: dict[str, tuple[np.ndarray, ...]] = {}
-        for block, _, arr in self._named:
-            out[block] = out.get(block, ()) + (arr,)
-        return out
+    def blocks(self) -> dict[str, slice]:
+        """Each block's slice of flat, in block-cyclic order: the consecutive
+        entries of its named_tensors(). A gradient shares flat's layout."""
+        return self._blocks
 
 
 @dataclass
@@ -138,15 +136,11 @@ def head_scores(outputs, heads) -> np.ndarray:
 
 def classify(params: ModelParams, rep: Representation) -> np.ndarray:
     """Score vector u0.T r0 + u_t.T rt + ua.T ra (no bias)."""
-    ut = params.u_dom[rep.t]
-    if (rep.r0.shape != (params.u0.shape[0],)
-            or rep.rt.shape != (ut.shape[0],)
-            or rep.ra.shape != (params.ua.shape[0],)):
-        raise ValueError(
-            f"representation shapes {(rep.r0.shape, rep.rt.shape, rep.ra.shape)} "
-            f"do not match heads {(params.u0.shape, ut.shape, params.ua.shape)}"
-        )
-    return head_scores((rep.r0, rep.rt, rep.ra), (params.u0, ut, params.ua))
+    outputs, heads = (rep.r0, rep.rt, rep.ra), (params.u0, params.u_dom[rep.t], params.ua)
+    if [r.shape for r in outputs] != [u.shape[:1] for u in heads]:
+        raise ValueError(f"representation shapes {tuple(r.shape for r in outputs)} "
+                         f"do not match heads {tuple(u.shape for u in heads)}")
+    return head_scores(outputs, heads)
 
 
 # the order in which init_params draws the tensors, by each key's first part
@@ -207,21 +201,29 @@ def load_params(path: str) -> ModelParams:
     """Read a save_params document; a wrong version, a missing key, or a
     tensor of the wrong shape or with non-finite entries raises DataError.
     Each tensor is built from the file's own data, so a `dims` entry that
-    disagrees with it is reported, never allocated."""
+    disagrees with it is reported, never allocated. Each error names its entry."""
+
+    def json_object(value, name):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+        return value
 
     def tensor(key, shape):
-        entry = doc["params"][key]
-        value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        entry = json_object(tensors[key], key)
+        try:
+            value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (OverflowError, TypeError, ValueError) as e:
+            raise ValueError(f"{key}: {e}") from e
         if not np.isfinite(value).all():
             raise ValueError(f"{key} holds non-finite entries")
         return value
 
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json_object(json.load(f), "the top level")
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {doc.get('format_version')}")
-        dd = doc["dims"]
+        dd, tensors = json_object(doc["dims"], "dims"), json_object(doc["params"], "params")
         return _new_params(Dims(**{f.name: dd[f.name] for f in fields(Dims)}), tensor)
     except KeyError as e:
         raise DataError(f"{path}: missing model entry {e}") from e

@@ -274,11 +274,11 @@ def _breakdown(b: Batch, cfg: TrainConfig, err, g_attr, means, diff) -> Objectiv
 
 def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
                    grad: Collection[str], value: bool = True,
-                   ) -> tuple[ObjectiveBreakdown | None, dict[str, tuple[np.ndarray, ...]]]:
+                   ) -> tuple[ObjectiveBreakdown | None, np.ndarray]:
     """The objective breakdown of a packed dataset (see pack) from its
     Forward f under params, and the exact sub-gradient of the blocks named in
-    `grad` (params.blocks() for all, () for none), laid out as params.blocks().
-    Only their encoders run backward; heads and theta need no upstream term.
+    `grad` (params.blocks() for all, () for none), laid out as params.flat, +0.0
+    outside them. Only their encoders run backward; heads and theta need no upstream term.
     With value=False the breakdown is None, and only what the asked-for blocks
     read is computed; the gradient is the same bit for bit.
 
@@ -301,19 +301,19 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     bd = _breakdown(b, cfg, *res) if value else None
     err, g_attr, means, diff = res
 
-    # classification terms; unlabeled rows are zero. "0.0 +" starts each head and
-    # theta sum from +0.0, as conv_backward_batch does
+    # classification terms; unlabeled rows are zero. Each head and theta sum is
+    # added into the zeros, so it starts from +0.0, as conv_backward_batch does
     gsc = 2.0 * err if asked - {"theta"} else None
-    gs = {}
-    if "theta" in grad:  # theta enters the attribute-map term (weight c1) only
-        gs["theta"] = (0.0 + -2.0 * cfg.c1 * (b.a[:tgt.stop].T @ g_attr),)
+    gs, sl = np.zeros(params.flat.size), params.blocks()
+    if "theta" in asked:  # theta enters the attribute-map term (weight c1) only
+        gs[sl["theta"]] += (-2.0 * cfg.c1 * (b.a[:tgt.stop].T @ g_attr)).ravel()
     # the columns of f_0, f_T and f_a in the neighbor differences ([f_0; f_T; f_a])
     m0, mt = params.dims.m0, params.dims.mt[T - 1]
     nb_cols = {"0": slice(None, m0), str(T): slice(m0, m0 + mt), "a": slice(m0 + mt, None)}
     nt = tgt.stop - tgt.start
     for (s, enc, head, rows), out, trace in zip(_branches(params, b), outs, f.traces):
         if "u_" + s in asked:
-            gs["u_" + s] = (0.0 + out.T @ gsc[rows],)
+            gs[sl["u_" + s]] += (out.T @ gsc[rows]).ravel()
         if "f_" + s not in asked:
             continue
         # the encoder's per-point upstream: classification, then the terms below
@@ -330,8 +330,8 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
             dfeat = np.zeros((nt, up.shape[1]))
             np.add.at(dfeat, b.edges[0], diff[:, nb_cols[s]])
             up[-nt:] += 4.0 * cfg.c3 * dfeat
-        gs["f_" + s] = conv_backward_batch(enc, trace, up)
-    return bd, {block: gs[block] for block in grad}
+        gs[sl["f_" + s]] = np.concatenate(conv_backward_batch(enc, trace, up), axis=None)
+    return bd, gs
 
 
 def stacked_totals(params: ModelParams, b: Batch, base: Forward, cfg: TrainConfig,
@@ -377,8 +377,8 @@ def objective(params: ModelParams, ds: MultiDomainDataset,
 
 
 def gradient(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | None,
-             cfg: TrainConfig) -> dict[str, tuple[np.ndarray, ...]]:
-    """Exact sub-gradient of the weighted total, laid out as params.blocks()."""
+             cfg: TrainConfig) -> np.ndarray:
+    """Exact sub-gradient of the weighted total, laid out as params.flat."""
     b = pack(params, ds, graph)
     return value_and_grad(params, b, forward(params, b), cfg, params.blocks(), value=False)[1]
 
@@ -433,18 +433,17 @@ def write_trajectory_csv(rows: list[TrajectoryRow], path: str) -> None:
             f.write(str(r.iteration) + "," + ",".join(repr(v) for v in vals) + "\n")
 
 
-def _iterate(params: ModelParams, b: Batch, f: Forward, gs: dict, sweep: list[dict],
-             cfg: TrainConfig, tau: float) -> tuple[Forward, ObjectiveBreakdown, dict]:
-    """One iteration: each step of `sweep` ({block: its arrays}) moves its blocks by -tau
-    times their gradient (for the first step gs, which came with f, the Forward of params)
-    and re-runs only their encoders. Returns the new Forward, its breakdown and sweep[0]'s
+def _iterate(params: ModelParams, b: Batch, f: Forward, gs: np.ndarray, sweep: list[tuple],
+             cfg: TrainConfig, tau: float) -> tuple[Forward, ObjectiveBreakdown, np.ndarray]:
+    """One iteration: each step of `sweep` (a tuple of block names) moves params.flat by -tau
+    times the gradient of its blocks (for the first step gs, which came with f, the Forward of
+    params) and re-runs only their encoders. Returns the new Forward, its breakdown and sweep[0]'s
     gradient, the next call's f and gs; the f and gs given are left as they were."""
     for k, step in enumerate(sweep):
         if k:
             gs = value_and_grad(params, b, f, cfg, step, value=False)[1]
-        for block, arrs in step.items():
-            for arr, grad in zip(arrs, gs[block]):
-                arr -= tau * grad
+        # gs is +0.0 outside the step's blocks and tau is finite and >= 0: x - +0.0 is x, -0.0 too
+        params.flat -= tau * gs
         f = forward(params, b, f, step)
     bd, gs = value_and_grad(params, b, f, cfg, sweep[0])
     return f, bd, gs
@@ -475,10 +474,9 @@ def train(ds: MultiDomainDataset, graph: NeighborGraph | None,
     params = init_params(dims, Rng(cfg.seed), cfg.init_range)
     batch = pack(params, ds, graph)
     test = slice(batch.segments[-1][1].stop, None)  # the target test rows
-    # joint mode steps every block at once; block-cyclic steps one block per
-    # gradient, in named_tensors() order
-    blocks = params.blocks()
-    sweep = [blocks] if cfg.update_mode == "joint" else [{block: arrs} for block, arrs in blocks.items()]
+    # joint mode steps every block at once; block-cyclic one block per gradient, in flat's order
+    blocks = tuple(params.blocks())
+    sweep = [blocks] if cfg.update_mode == "joint" else [(block,) for block in blocks]
 
     f = forward(params, batch)
     bd, gs = value_and_grad(params, batch, f, cfg, sweep[0])

@@ -165,6 +165,19 @@ def test_load_rejects_malformed_model_files(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             load_params(str(path))
+    # entries of the wrong JSON type: the error names the entry
+    theta = good["params"]["theta"]
+    for doc, match in [([1], "the top level must be a JSON object"),
+                       ({**good, "dims": [1, 2]}, "dims must be a JSON object"),
+                       ({**good, "params": []}, "params must be a JSON object"),
+                       ({**good, "params": {**good["params"], "theta": [1]}},
+                        "theta must be a JSON object"),
+                       ({**good, "dims": {**good["dims"], "mt": 4}}, "got mt=4"),
+                       ({**good, "params": {**good["params"], "theta": {**theta, "data": "abc"}}},
+                        "theta: could not convert")]:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match):
+            load_params(str(path))
     # files json cannot decode: not UTF-8, and nested past its recursion limit
     for raw in (b"\xff{}", b"[" * 100_000):
         path.write_bytes(raw)
@@ -235,6 +248,11 @@ def test_tensors_are_views_of_one_flat_array(dims, seed):
     branches = ["0", *(str(t + 1) for t in range(dims.n_domains)), "a"]
     runs = [block for block, _ in itertools.groupby(block for block, _, _ in params.named_tensors())]
     assert runs == [f"f_{s}" for s in branches] + ["theta"] + [f"u_{s}" for s in branches]
+    # each blocks() slice covers exactly its block's tensors, in that order
+    assert list(params.blocks()) == runs
+    for block, sl in params.blocks().items():
+        assert np.array_equal(flat[sl], np.concatenate(
+            [arr.ravel() for b, _, arr in params.named_tensors() if b == block])), block
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         save_params(params, path)

@@ -283,10 +283,9 @@ class TestObjective:
             bd = objective(params, ds, graph, CFG)
             assert bd == objective(params, seen, graph, CFG), extra
             gs, want = gradient(params, ds, graph, CFG), gradient(params, seen, graph, CFG)
-            assert gs.keys() == want.keys()
-            for block in want:
-                assert ([g.tobytes() for g in gs[block]]
-                        == [g.tobytes() for g in want[block]]), (block, extra)
+            assert gs.shape == want.shape == params.flat.shape
+            for block, sl in params.blocks().items():
+                assert gs[sl].tobytes() == want[sl].tobytes(), (block, extra)
             ds.target[1].role = None
             assert bd != objective(params, ds, build_neighbor_graph(ds.target_train_points(), 1),
                                    CFG)
@@ -322,7 +321,7 @@ class TestGradient:
         params = make_params(18)
         gs = gradient(params, ds, empty_graph(1), cfg)
         # theta only enters via the attribute term; its gradient is exactly +0.0
-        assert gs["theta"][0].tobytes() == np.zeros_like(params.theta).tobytes()
+        assert gs[params.blocks()["theta"]].tobytes() == np.zeros_like(params.theta).tobytes()
 
     def test_theta_stationary_at_least_squares_optimum(self):
         ds = tiny_dataset(19, n_per_domain=4)
@@ -341,7 +340,7 @@ class TestGradient:
         for u in (params.u0, params.ua, *params.u_dom):
             u[...] = 0.0
         gs = gradient(params, ds, empty_graph(4), cfg)
-        assert np.max(np.abs(gs["theta"][0])) < 1e-8
+        assert np.max(np.abs(gs[params.blocks()["theta"]])) < 1e-8
 
     def test_matches_finite_differences_on_smooth_instances(self):
         for seed in range(5):
@@ -363,8 +362,8 @@ class TestGradient:
 
             def one_array_negated(*args, **kwargs):
                 value, grads = exact(*args, **kwargs)
-                if block in grads:
-                    grads[block] = tuple(-g if i == idx else g for i, g in enumerate(grads[block]))
+                sl = _tensor_slices(parts[0], block)[idx]
+                grads[sl] = -grads[sl]
                 return value, grads
 
             monkeypatch.setattr(gradcheck, "value_and_grad", one_array_negated)
@@ -377,10 +376,11 @@ class TestGradient:
         params = make_params(22)
         gs = gradient(params, tiny_dataset(22), empty_graph(2), CFG)
         blocks = params.blocks()
-        assert list(gs) == list(blocks)
-        for block, arrs in blocks.items():
-            assert [g.shape for g in gs[block]] == [arr.shape for arr in arrs], block
-            assert all(g.dtype == np.float64 for g in gs[block]), block
+        assert list(blocks) == list(dict.fromkeys(block for block, _, _ in params.named_tensors()))
+        for block, sl in blocks.items():
+            assert [gs[t].size for t in _tensor_slices(params, block)] == [
+                arr.size for arr in _tensors(params, block)], block
+            assert gs[sl].dtype == np.float64 and gs.shape == params.flat.shape, block
 
 
 def test_importing_the_submodule_binds_the_module():
@@ -393,9 +393,10 @@ def test_importing_the_submodule_binds_the_module():
 def test_blocks_are_the_parameters_grouped():
     params = make_params(20)
     blocks = params.blocks()
-    grouped = [(block, id(arr)) for block, arrs in blocks.items() for arr in arrs]
-    assert grouped == [(block, id(arr)) for block, _, arr in params.named_tensors()]
-    blocks["theta"][0][0, 0] = 7.0  # the arrays are the parameters, not copies
+    grouped = [(block, params.flat[sl].tobytes()) for block, sl in blocks.items()]
+    assert grouped == [(block, b"".join(arr.tobytes() for arr in _tensors(params, block)))
+                       for block in dict.fromkeys(block for block, _, _ in params.named_tensors())]
+    params.flat[blocks["theta"]][0] = 7.0  # the slices are of the parameters, not copies
     assert params.theta[0, 0] == 7.0
 
 
@@ -413,6 +414,21 @@ def test_parameter_blocks_order():
     assert blocks == ["f_0", "f_1", "f_2", "f_a", "theta", "u_0", "u_1", "u_2", "u_a"]
     assert [block for block, _, _ in named] == sorted(
         (block for block, _, _ in named), key=blocks.index)
+
+
+def _tensors(params, block):
+    """The tensors of `block`, from named_tensors()."""
+    return [arr for b, _, arr in params.named_tensors() if b == block]
+
+
+def _tensor_slices(params, block):
+    """The slices of params.flat that hold the tensors of `block`, in named_tensors() order."""
+    out, end = [], 0
+    for b, _, arr in params.named_tensors():
+        end += arr.size
+        if b == block:
+            out.append(slice(end - arr.size, end))
+    return out
 
 
 def _same_bits(a, b):
@@ -450,7 +466,7 @@ def test_branches_follow_the_block_order():
     assert ["f_" + s for s, *_ in branches] == [k for k in blocks if k.startswith("f_")]
     assert ["u_" + s for s, *_ in branches] == [k for k in blocks if k.startswith("u_")]
     for s, enc, head, _ in branches:
-        assert blocks["f_" + s][0] is enc.filters and blocks["u_" + s][0] is head
+        assert _tensors(params, "f_" + s)[0] is enc.filters and _tensors(params, "u_" + s)[0] is head
 
 
 class TestReuse:
@@ -462,7 +478,7 @@ class TestReuse:
         params, b, _ = _smooth_batch()
         base = forward(params, b)
         base_scores = base.scores.copy()
-        for arr in params.blocks()[block]:
+        for arr in _tensors(params, block):
             arr += 0.05 * Rng(1).normal(arr.shape)
         got, want = forward(params, b, base, (block,)), forward(params, b)
         for g, w in zip(got.traces, want.traces, strict=True):
@@ -487,16 +503,24 @@ class TestReuse:
             full_bd, full = value_and_grad(params, b, f, cfg, params.blocks())
             bd, one = value_and_grad(params, b, f, cfg, (block,))
             assert bd == full_bd
-            assert list(full) == list(params.blocks())
-            assert list(one) == [block]
+            assert full.shape == params.flat.shape
+            assert one.shape == params.flat.shape
+            tensors = _tensor_slices(params, block)
             for asked in (params.blocks(), (block,)):
                 no_bd, got = value_and_grad(params, b, f, cfg, asked, value=False)
-                assert no_bd is None and list(got) == list(asked)
-                for g_full, g_got in zip(full[block], got[block], strict=True):
-                    assert _same_bits(g_got, g_full), (n_domains, zeroed, len(asked))
-            for g_full, g_one in zip(full[block], one[block], strict=True):
-                assert np.any(g_full) or (block, zeroed) == ("theta", "c1")
-                assert _same_bits(g_one, g_full), (n_domains, zeroed)
+                assert no_bd is None and got.shape == params.flat.shape
+                for t in tensors:
+                    assert _same_bits(got[t], full[t]), (n_domains, zeroed, len(asked))
+                # every entry outside the asked blocks (and, for one, outside
+                # block) is +0.0, as np.zeros makes it
+                outside = np.ones(got.size, bool)
+                for name in asked:
+                    outside[params.blocks()[name]] = False
+                for g in (got, one):
+                    assert g[outside].tobytes() == np.zeros(outside.sum()).tobytes()
+            for t in tensors:
+                assert np.any(full[t]) or (block, zeroed) == ("theta", "c1")
+                assert _same_bits(one[t], full[t]), (n_domains, zeroed)
 
     @pytest.mark.parametrize("block", list(_smooth_batch(3)[0].blocks()))
     def test_finite_diff_block_equals_fresh_forward_differences(self, block):
@@ -517,7 +541,7 @@ class TestReuse:
             def fresh_total():
                 return value_and_grad(params, b, forward(params, b), cfg, ())[0].total
 
-            for key, arr in enumerate(params.blocks()[block]):
+            for key, arr in enumerate(_tensors(params, block)):
                 got = finite_diff_block(params, b, base, cfg, block, arr, eps)
                 want = np.zeros_like(arr)
                 for k in range(arr.size):
@@ -539,11 +563,10 @@ class TestStackedTotals:
         base = forward(params, b)
         kernel_calls.banks.clear()
         want = np.full(3, value_and_grad(params, b, base, cfg, ())[0].total)
-        for block, arrs in params.blocks().items():
-            for arr in arrs:
-                values = np.repeat(arr[None], 3, axis=0)
-                got = objective_module.stacked_totals(params, b, base, cfg, block, arr, values)
-                assert _same_bits(got, want), block
+        for block, _, arr in params.named_tensors():
+            values = np.repeat(arr[None], 3, axis=0)
+            got = objective_module.stacked_totals(params, b, base, cfg, block, arr, values)
+            assert _same_bits(got, want), block
         assert kernel_calls.banks == []
 
     def test_a_zero_that_changes_sign_has_moved(self, kernel_calls):
@@ -594,7 +617,7 @@ def test_no_graph_and_an_edgeless_graph_are_the_same_run():
     def results(graph):
         b = pack(params, ds, graph)
         bd, gs = value_and_grad(params, b, forward(params, b), cfg, params.blocks())
-        arrays = [np.array(dataclasses.astuple(bd)), *(g for arrs in gs.values() for g in arrs)]
+        arrays = [np.array(dataclasses.astuple(bd)), gs]
         for mode in ("joint", "block-cyclic"):
             run = dataclasses.replace(cfg, tau=1e-3, max_iters=3, update_mode=mode)
             trained, rows = train(ds, graph, run)

@@ -72,6 +72,15 @@ class TestTrainLoop:
         _, rows = train(ds, graph, cfg)
         totals = [r.breakdown.total for r in rows]
         assert totals[-1] < totals[0]
+        # the sweep's first step moves f_0 alone, and every other entry keeps its
+        # bytes, a -0.0 too: a gradient of -0.0 there would make it +0.0
+        params, b, sweep, f, gs = _initial_state(ds, graph, cfg)
+        params.flat[params.blocks()["u_a"].start] = -0.0
+        before = params.flat.copy()
+        _iterate(params, b, f, gs, sweep[:1], cfg, cfg.tau)
+        rest = slice(params.blocks()["f_0"].stop, None)
+        assert params.flat[rest].tobytes() == before[rest].tobytes()
+        assert math.copysign(1.0, params.flat[params.blocks()["u_a"].start]) == -1.0
 
     def test_modes_differ_after_one_iteration(self):
         # block-cyclic recomputes the gradient between blocks, so it does
@@ -152,8 +161,7 @@ def reference_training(ds, graph, cfg):
     def step(names):
         gs = gradient(params, ds, graph, cfg)
         for block in names:
-            for arr, grad in zip(blocks[block], gs[block], strict=True):
-                arr -= cfg.tau * grad
+            params.flat[blocks[block]] -= cfg.tau * gs[blocks[block]]
 
     rows = [row()]
     for _ in range(cfg.max_iters):
@@ -191,9 +199,8 @@ def _initial_state(ds, graph, cfg):
                 mt=(cfg.mt,) * T, w=cfg.w)
     params = init_params(dims, Rng(cfg.seed), cfg.init_range)
     b = pack(params, ds, graph)
-    blocks = params.blocks()
-    sweep = ([blocks] if cfg.update_mode == "joint"
-             else [{block: arrs} for block, arrs in blocks.items()])
+    blocks = tuple(params.blocks())
+    sweep = [blocks] if cfg.update_mode == "joint" else [(block,) for block in blocks]
     f = forward(params, b)
     return params, b, sweep, f, value_and_grad(params, b, f, cfg, sweep[0])[1]
 
@@ -204,7 +211,7 @@ def _bytes(params=None, f=None, gs=None):
     if f is not None:
         out += [a.tobytes() for tr in f.traces for a in astuple(tr)] + [f.scores.tobytes()]
     if gs is not None:
-        out += [(block, g.tobytes()) for block, grads in gs.items() for g in grads]
+        out.append(gs.tobytes())
     return out
 
 
@@ -215,17 +222,18 @@ def test_an_iteration_retried_from_a_snapshot_repeats_bit_for_bit(mode):
     ds, graph = small_instance(7)
     cfg = TrainConfig(tau=1e-2, max_iters=1, seed=7, update_mode=mode)
     params, b, sweep, f, gs = _initial_state(ds, graph, cfg)
-    snapshot = [arr.copy() for _, _, arr in params.named_tensors()]
+    snapshot = params.flat.copy()
     given = _bytes(f=f, gs=gs)
 
     def retry(tau):
-        for (_, _, arr), saved in zip(params.named_tensors(), snapshot):
-            arr[...] = saved
+        params.flat[...] = snapshot
         new_f, bd, new_gs = _iterate(params, b, f, gs, sweep, cfg, tau)
         assert _bytes(f=f, gs=gs) == given
         # the gradient returned is sweep[0]'s at the new parameters
-        full = gradient(params, ds, graph, cfg)
-        assert _bytes(gs=new_gs) == _bytes(gs={block: full[block] for block in sweep[0]})
+        full, want = gradient(params, ds, graph, cfg), np.zeros(params.flat.size)
+        for block in sweep[0]:
+            want[params.blocks()[block]] = full[params.blocks()[block]]
+        assert _bytes(gs=new_gs) == _bytes(gs=want)
         return _bytes(params), new_f.scores.tobytes(), repr(astuple(bd))
 
     half = retry(cfg.tau / 2)
