@@ -2,8 +2,10 @@
 
 Each encoder maps a d x L instance matrix (columns are instance feature
 vectors) to a fixed-size vector of length m, one entry per filter. The
-forward pass records enough state (a trace) to backpropagate the
-sub-gradient exactly through the pooling argmax and the ReLU kink.
+forward pass keeps its pre-activations and padded inputs (a trace). The
+backward pass derives the pooling argmax from them and backpropagates the
+sub-gradient exactly through it and the ReLU kink; a forward-only caller
+never computes the argmax.
 
 The kernels run on a batch of n points at once: the ragged matrices are
 right-padded with zero columns to one width (pad_columns), and positions
@@ -66,9 +68,15 @@ class BatchTrace:
     Points run along the last axis, as in pad_columns."""
 
     pre: np.ndarray      # (m, P, n) pre-activations; -inf past each point's last window
-    argmax: np.ndarray   # (m, n) pooled position per filter and point
     x_padded: np.ndarray  # (d, P + w - 1, n) zero-padded inputs
     output: np.ndarray   # (n, m) pooled ReLU activations, one row per point
+
+    @property
+    def argmax(self) -> np.ndarray:
+        """(m, n) pooled position per filter and point, computed from pre on
+        each read: the first maximum of the ReLU activations. A masked position
+        (activation 0) never comes before a valid one, so it never wins."""
+        return np.maximum(self.pre, 0.0).argmax(axis=1)
 
 
 def pad_columns(xs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -111,13 +119,13 @@ def conv_forward_batch(block: ConvBlock, x: np.ndarray, lengths: np.ndarray) -> 
         np.multiply(block.filters[:, r, c, None, None], x[None, r, c:c + P], out=term)
         pre += term
     pre += block.bias[:, None, None]
-    # a point of L columns has max(L, w) - w + 1 windows; the rest read padding
+    # a point of L columns has max(L, w) - w + 1 windows; the rest read padding.
+    # Assigned, never added: -inf + inf would make an overflowed window NaN
     n_windows = np.maximum(lengths, w) - w + 1
-    np.copyto(pre, -np.inf, where=np.arange(P)[:, None] >= n_windows)
-    # ReLU, then the first maximum: a masked position (activation 0) never
-    # comes before a valid one, so it never wins
+    np.putmask(pre, np.greater_equal(np.arange(P)[:, None], n_windows,
+                                     out=np.empty(pre.shape, bool)), -np.inf)
     act = np.maximum(pre, 0.0, out=term)
-    return BatchTrace(pre=pre, argmax=act.argmax(axis=1), x_padded=x, output=act.max(axis=1).T)
+    return BatchTrace(pre=pre, x_padded=x, output=act.max(axis=1).T)
 
 
 def conv_backward_batch(block: ConvBlock, trace: BatchTrace,

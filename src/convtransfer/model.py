@@ -212,6 +212,8 @@ def load_params(path: str) -> ModelParams:
         entry = json_object(tensors[key], key)
         try:
             value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except KeyError as e:
+            raise KeyError(f"{key}.{e.args[0]}") from e
         except (OverflowError, TypeError, ValueError) as e:
             raise ValueError(f"{key}: {e}") from e
         if not np.isfinite(value).all():

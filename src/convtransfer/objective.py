@@ -120,10 +120,12 @@ class Batch:
 
     x: np.ndarray          # (d, L, n) zero-padded inputs (convnet.pad_columns)
     lengths: np.ndarray    # (n,) each point's own column count
-    a: np.ndarray          # (n, A) attribute vectors
     y: np.ndarray          # (n, Y) labels; zero rows for unlabeled points
     segments: list[tuple[int, slice]]  # (domain index, rows)
     edges: tuple[np.ndarray, np.ndarray]
+    # (rows up to the last segment's end, A) attribute vectors; only pack's
+    # batches, whose loss terms read them, carry them
+    a: np.ndarray | None = None
 
 
 def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
@@ -133,9 +135,8 @@ def _batch(segments: list[tuple[int, list[DataPoint]]], y_dim: int,
     x, lengths = pad_columns([p.x for p in points])
     no_label = np.zeros(y_dim)
     y = np.concatenate([no_label if p.y is None else p.y for p in points]).reshape(n, y_dim)
-    a = np.concatenate([p.a for p in points]).reshape(n, -1)
     bounds = np.cumsum([0] + [len(pts) for _, pts in segments])
-    return Batch(x=x, lengths=lengths, a=a, y=y,
+    return Batch(x=x, lengths=lengths, y=y,
                  segments=[(t, slice(bounds[k], bounds[k + 1])) for k, (t, _) in enumerate(segments)],
                  edges=(np.empty(0, np.intp),) * 2 if graph is None else np.nonzero(graph.matrix()))
 
@@ -152,7 +153,9 @@ def pack(params: ModelParams, ds: MultiDomainDataset, graph: NeighborGraph | Non
     for t, pts in segments:
         if not pts:
             raise DataError(f"domain {t} is empty; mean matching undefined")
-    return _batch(segments, ds.y_dim, graph, ds.target_points(ROLE_TEST))
+    b = _batch(segments, ds.y_dim, graph, ds.target_points(ROLE_TEST))
+    b.a = np.concatenate([p.a for _, pts in segments for p in pts]).reshape(-1, ds.a_dim)
+    return b
 
 
 @dataclass
@@ -227,7 +230,7 @@ def _residuals(b: Batch, outs, scores, theta, err=True, attr=True, means=True, n
     if err:
         e = np.where(y.any(axis=1, keepdims=True), scores[..., :tgt.stop, :] - y, 0.0)
     if attr:
-        g_attr = ra - b.a[:tgt.stop] @ theta
+        g_attr = ra - b.a @ theta
     if means:
         # np.mean's own sum and division, without its call overhead
         mu = [r0[..., rows, :].sum(axis=-2) / (rows.stop - rows.start) for _, rows in b.segments]
@@ -280,7 +283,8 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     `grad` (params.blocks() for all, () for none), laid out as params.flat, +0.0
     outside them. Only their encoders run backward; heads and theta need no upstream term.
     With value=False the breakdown is None, and only what the asked-for blocks
-    read is computed; the gradient is the same bit for bit.
+    read is computed; the gradient is the same bit for bit. A name in `grad`
+    that is not a block raises ValueError.
 
     Each asked-for encoder's per-point upstream gradient is built in one
     place, its terms in a fixed order (classification, attribute map, domain
@@ -289,7 +293,10 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     """
     T = params.n_domains
     tgt = b.segments[-1][1]
-    asked = set(grad)
+    asked, sl = set(grad), params.blocks()
+    if not asked <= sl.keys():
+        raise ValueError("no parameter block named "
+                         + ", ".join(repr(n) for n in grad if n not in sl))
     # besides the breakdown, every block but theta reads the classification
     # error, theta and f_a the attribute residual, f_0 the domain means, and
     # f_0, f_T and f_a the neighbor differences
@@ -304,9 +311,9 @@ def value_and_grad(params: ModelParams, b: Batch, f: Forward, cfg: TrainConfig,
     # classification terms; unlabeled rows are zero. Each head and theta sum is
     # added into the zeros, so it starts from +0.0, as conv_backward_batch does
     gsc = 2.0 * err if asked - {"theta"} else None
-    gs, sl = np.zeros(params.flat.size), params.blocks()
+    gs = np.zeros(params.flat.size)
     if "theta" in asked:  # theta enters the attribute-map term (weight c1) only
-        gs[sl["theta"]] += (-2.0 * cfg.c1 * (b.a[:tgt.stop].T @ g_attr)).ravel()
+        gs[sl["theta"]] += (-2.0 * cfg.c1 * (b.a.T @ g_attr)).ravel()
     # the columns of f_0, f_T and f_a in the neighbor differences ([f_0; f_T; f_a])
     m0, mt = params.dims.m0, params.dims.mt[T - 1]
     nb_cols = {"0": slice(None, m0), str(T): slice(m0, m0 + mt), "a": slice(m0 + mt, None)}

@@ -117,6 +117,20 @@ def test_column_permutation_invariance_iff_window_one():
     assert found
 
 
+def test_padding_mask_is_assigned_even_over_an_overflowed_window():
+    # point 0's window at position 1 overflows to inf, and so does the one at
+    # position 2, which reads the zero padding past its 3 columns; an added
+    # -inf mask would make that position, and the pooled output, NaN
+    block = ConvBlock(filters=np.full((1, 1, 2), 1e200), bias=np.zeros(1))
+    x, lengths = pad_columns([np.array([[1.0, 1.0, 1e200]]), np.zeros((1, 4))])
+    with np.errstate(all="ignore"):
+        trace = conv_forward_batch(block, x, lengths)
+    assert trace.pre[0, :, 0].tolist() == [2e200, np.inf, -np.inf]
+    assert trace.pre[0, :, 1].tolist() == [0.0, 0.0, 0.0]
+    assert trace.output.tolist() == [[np.inf], [0.0]]
+    assert trace.argmax.tolist() == [[1, 0]]
+
+
 def test_backward_zero_upstream_gives_zero_gradients():
     rng = Rng(5)
     block = random_block(rng, 3, 2, 2)

@@ -174,7 +174,13 @@ def test_load_rejects_malformed_model_files(tmp_path):
                         "theta must be a JSON object"),
                        ({**good, "dims": {**good["dims"], "mt": 4}}, "got mt=4"),
                        ({**good, "params": {**good["params"], "theta": {**theta, "data": "abc"}}},
-                        "theta: could not convert")]:
+                        "theta: could not convert"),
+                       # a tensor entry without its data or its shape
+                       ({**good, "params": {**good["params"], "theta": {"shape": theta["shape"]}}},
+                        r"missing model entry 'theta\.data'$"),
+                       ({**good, "params": {**good["params"],
+                                            "u0": {"data": good["params"]["u0"]["data"]}}},
+                        r"missing model entry 'u0\.shape'$")]:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=match):
             load_params(str(path))

@@ -6,6 +6,7 @@ import pytest
 
 import convtransfer.objective as objective_module
 from convtransfer import gradcheck
+from convtransfer.convnet import BatchTrace
 from convtransfer.dataset import (
     ROLE_LABELED,
     ROLE_TEST,
@@ -382,6 +383,17 @@ class TestGradient:
                 arr.size for arr in _tensors(params, block)], block
             assert gs[sl].dtype == np.float64 and gs.shape == params.flat.shape, block
 
+    def test_a_name_that_is_not_a_block_is_rejected(self):
+        # a mistyped sweep would otherwise step nothing: its gradient is all +0.0
+        params = make_params(23)
+        b = pack(params, tiny_dataset(23), empty_graph(2))
+        f = forward(params, b)
+        for grad, named in [(("f_9",), "'f_9'"), (("theta ",), "'theta '"),
+                            (("theta", "u_x", "f_0", "f_9"), "'u_x', 'f_9'")]:
+            for value in (True, False):
+                with pytest.raises(ValueError, match=f"no parameter block named {named}$"):
+                    value_and_grad(params, b, f, CFG, grad, value=value)
+
 
 def test_importing_the_submodule_binds_the_module():
     # the package re-exports no function under its submodule's name
@@ -739,6 +751,31 @@ class TestKernelCalls:
             assert len(rows) == iters + 1
             counts.append(len(built))
         assert counts[1] - counts[0] == 1
+
+    def test_only_a_backward_reads_the_pooling_argmax(self, kernel_calls, monkeypatch):
+        # the argmax is computed on each read of the trace's property, so
+        # every read is a backward's and a forward-only path computes none
+        reads = []
+        argmax = BatchTrace.argmax
+        monkeypatch.setattr(BatchTrace, "argmax",
+                            property(lambda trace: reads.append(1) or argmax.fget(trace)))
+        params, ds, graph, cfg = random_smooth_instance(0)  # runs is_smooth
+        T = params.n_domains
+        assert gradcheck.is_smooth(params, ds)
+        assert objective_module.evaluate(params, ds.target, T - 1) >= 0.0
+        assert reads == []
+        gradient_check(params, ds, graph, cfg)
+        # the base gradient's backward of each encoder; the stacked
+        # finite-difference passes read none
+        assert len(reads) == T + 2
+        b = pack(params, ds, graph)
+        f = forward(params, b)
+        gs = value_and_grad(params, b, f, cfg, params.blocks(), value=False)[1]
+        reads.clear()
+        kernel_calls.update(forward=0, backward=0)
+        objective_module._iterate(params, b, f, gs, [tuple(params.blocks())], cfg, 1e-4)
+        # one joint iteration: one read per encoder backward
+        assert len(reads) == kernel_calls["backward"] == T + 2
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_one_block_gradient_runs_only_that_encoder_backward(self, kernel_calls, block):
